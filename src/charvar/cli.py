@@ -117,7 +117,7 @@ class TargetPlan:
     brute_prime: int | None = None
 
 
-def _blocks_targets(threads: int) -> list[TargetPlan]:
+def _blocks_targets() -> list[TargetPlan]:
     b = building_blocks()
 
     def w2_size(p):
@@ -130,17 +130,17 @@ def _blocks_targets(threads: int) -> list[TargetPlan]:
         return int(group_table(p).geometric_mask(w4(lam)).sum())
 
     def stratum(name):
-        return lambda p: count_x_stratum(p, name, threads)
+        return lambda p: count_x_stratum(p, name)
 
     def fiber(rep_of):
-        return lambda p: count_commutator_fiber(p, rep_of(p), threads)
+        return lambda p: count_commutator_fiber(p, rep_of(p))
 
     def xi_fiber(square):
         def counter(p):
             lam = smallest_lambda(p, square=square)
             if lam is None:
                 return Skip("no admissible lambda in this square class")
-            return count_commutator_fiber(p, SL2Element.diagonal(lam, p), threads)
+            return count_commutator_fiber(p, SL2Element.diagonal(lam, p))
         return counter
 
     return [
@@ -178,7 +178,7 @@ def _blocks_targets(threads: int) -> list[TargetPlan]:
     ]
 
 
-def _zbar_targets(threads: int) -> list[TargetPlan]:
+def _zbar_targets() -> list[TargetPlan]:
     zb = stated_zbar_totals()
 
     def zbar(case_of):
@@ -186,7 +186,7 @@ def _zbar_targets(threads: int) -> list[TargetPlan]:
             case = case_of(p)
             if isinstance(case, Skip):
                 return case
-            return count_zbar(p, case, threads)
+            return count_zbar(p, case)
         return counter
 
     def z24_case(square):
@@ -274,7 +274,7 @@ def _zf_spec(s1, s2) -> "ZFull | Skip":
     return ZFull(s1, s2)
 
 
-def _zfull_targets(threads: int) -> list[TargetPlan]:
+def _zfull_targets() -> list[TargetPlan]:
     b = building_blocks()
     zrefs = z_reduction_references()
     zb = stated_zbar_totals()
@@ -287,7 +287,7 @@ def _zfull_targets(threads: int) -> list[TargetPlan]:
                 return s1
             if isinstance(s2, Skip):
                 return s2
-            return count_z_full(p, s1, s2, threads)
+            return count_z_full(p, s1, s2)
         return counter
 
     def const(spec):
@@ -379,19 +379,19 @@ def _symbolic_identities() -> list[dict]:
     return rows
 
 
-def _count_identities(scope: str, config: RunConfig, threads: int) -> list[dict]:
+def _count_identities(scope: str, config: RunConfig) -> list[dict]:
     rows = []
     if scope in ("blocks", "all"):
         for p in config.primes:
             n = p ** 3 - p
-            total = sum(count_x_stratum(p, s, threads)
+            total = sum(count_x_stratum(p, s)
                         for s in ("X0", "X1", "X2", "X3", "X4"))
             rows.append({"name": "X strata sum to |SL2|^2", "p": p,
                          "lhs": total, "rhs": n * n, "pass": total == n * n})
         for p in IDENTITY_PRIMES:
             for square in (True, False):
                 vals = sorted({
-                    count_commutator_fiber(p, SL2Element.diagonal(lam, p), threads)
+                    count_commutator_fiber(p, SL2Element.diagonal(lam, p))
                     for lam in range(2, p - 1)
                     if is_square_mod(lam, p) == square})
                 cls = "square" if square else "nonsquare"
@@ -403,13 +403,13 @@ def _count_identities(scope: str, config: RunConfig, threads: int) -> list[dict]
     if scope in ("zbar", "all"):
         for p in IDENTITY_PRIMES:
             for lam in range(2, p - 1):
-                lhs = count_zbar(p, ZbarCase("zbar34", lam), threads)
-                rhs = count_zbar(p, ZbarCase("zbar24", (-lam) % p), threads)
+                lhs = count_zbar(p, ZbarCase("zbar34", lam))
+                rhs = count_zbar(p, ZbarCase("zbar24", (-lam) % p))
                 rows.append({"name": f"negation: Zbar34(lam={lam}) = Zbar24(-lam)",
                              "p": p, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs})
         p = 7
-        lhs = count_zbar(p, ZbarCase("zbar44", 2, 5), threads)
-        rhs = count_zbar(p, ZbarCase("zbar44", 2, 3), threads)
+        lhs = count_zbar(p, ZbarCase("zbar44", 2, 5))
+        rhs = count_zbar(p, ZbarCase("zbar44", 2, 3))
         rows.append({"name": "Zbar44 special pair equals generic of same class pattern",
                      "p": p, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs})
     if scope in ("zfull", "all"):
@@ -418,37 +418,37 @@ def _count_identities(scope: str, config: RunConfig, threads: int) -> list[dict]
         for p in IDENTITY_PRIMES:
             for i, (n1, s1) in enumerate(specs):
                 for n2, s2 in specs[i + 1:]:
-                    lhs = count_z_full(p, s1, s2, threads)
-                    rhs = count_z_full(p, s2, s1, threads)
+                    lhs = count_z_full(p, s1, s2)
+                    rhs = count_z_full(p, s2, s1)
                     rows.append({"name": f"symmetry: Z({n1},{n2}) = Z({n2},{n1})",
                                  "p": p, "lhs": lhs, "rhs": rhs,
                                  "pass": lhs == rhs})
-            lhs = count_z_full(p, W3, W3, threads)
-            rhs = count_z_full(p, W2, W2, threads)
+            lhs = count_z_full(p, W3, W3)
+            rhs = count_z_full(p, W2, W2)
             rows.append({"name": "negation: Z(W3,W3) = Z(W2,W2)", "p": p,
                          "lhs": lhs, "rhs": rhs, "pass": lhs == rhs})
             lam = 2
-            lhs = count_z_full(p, W3, w4(lam), threads)
-            rhs = count_z_full(p, W2, w4((-lam) % p), threads)
+            lhs = count_z_full(p, W3, w4(lam))
+            rhs = count_z_full(p, W2, w4((-lam) % p))
             rows.append({"name": "negation: Z(W3,W4(lam)) = Z(W2,W4(-lam))",
                          "p": p, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs})
-            lhs = count_z_full(p, W2, W3, threads)
-            rhs = (p * p - 1) * count_zbar(p, ZbarCase("zbar23"), threads)
+            lhs = count_z_full(p, W2, W3)
+            rhs = (p * p - 1) * count_zbar(p, ZbarCase("zbar23"))
             rows.append({"name": "fibration: Z23 = (p^2-1) Zbar23", "p": p,
                          "lhs": lhs, "rhs": rhs, "pass": lhs == rhs})
-            lhs = count_z_full(p, W2, w4(2), threads)
-            rhs = (p * p + p) * count_zbar(p, ZbarCase("zbar24", 2), threads)
+            lhs = count_z_full(p, W2, w4(2))
+            rhs = (p * p + p) * count_zbar(p, ZbarCase("zbar24", 2))
             rows.append({"name": "fibration: Z24 = (p^2+p) Zbar24", "p": p,
                          "lhs": lhs, "rhs": rhs, "pass": lhs == rhs})
             pair = (2, 2) if p == 5 else (2, 3)
-            lhs = count_z_full(p, w4(pair[0]), w4(pair[1]), threads)
-            rhs = (p * p + p) * count_zbar(p, ZbarCase("zbar44", *pair), threads)
+            lhs = count_z_full(p, w4(pair[0]), w4(pair[1]))
+            rhs = (p * p + p) * count_zbar(p, ZbarCase("zbar44", *pair))
             rows.append({"name": f"fibration: Z44{pair} = (p^2+p) Zbar44{pair}",
                          "p": p, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs})
     return rows
 
 
-def _evaluate_target(plan: TargetPlan, config: RunConfig, threads: int) -> dict:
+def _evaluate_target(plan: TargetPlan, config: RunConfig) -> dict:
     """Count across the panel, fit, hold-out check, compare, classify."""
     records = []
     usable: list[tuple[int, int]] = []
@@ -483,7 +483,7 @@ def _evaluate_target(plan: TargetPlan, config: RunConfig, threads: int) -> dict:
 
     extended = list(usable)
     extension_records: list[dict] = []
-    remaining = [p for p in QUASI_EXTENSION]
+    remaining = [p for p in QUASI_EXTENSION if p not in config.primes]
 
     def extend_with(p: int) -> None:
         result = plan.counter(p)
@@ -586,14 +586,13 @@ def _diff_json(a: EPolynomial, b: EPolynomial | None) -> list:
 
 def run_verification(scope: str, config: RunConfig) -> dict:
     """The full pipeline for one scope; returns the report dict."""
-    threads = config.threads
     plans: list[TargetPlan] = []
     if scope in ("blocks", "all"):
-        plans += _blocks_targets(threads)
+        plans += _blocks_targets()
     if scope in ("zbar", "all"):
-        plans += _zbar_targets(threads)
+        plans += _zbar_targets()
     if scope in ("zfull", "all"):
-        plans += _zfull_targets(threads)
+        plans += _zfull_targets()
     if scope not in ("blocks", "zbar", "zfull", "all"):
         raise ConfigError(f"unknown scope {scope!r}")
 
@@ -607,15 +606,15 @@ def run_verification(scope: str, config: RunConfig) -> dict:
         from .counting import commutator_fiber_distribution
         cache = config.cache()
         for p in config.primes:
-            commutator_fiber_distribution(p, cache=cache, threads=threads)
+            commutator_fiber_distribution(p, cache=cache)
 
-    targets = [_evaluate_target(pl, config, threads) for pl in plans]
-    identities = _symbolic_identities() + _count_identities(scope, config, threads)
+    targets = [_evaluate_target(pl, config) for pl in plans]
+    identities = _symbolic_identities() + _count_identities(scope, config)
 
     probes = []
     if scope in ("zbar", "all"):
         for p in IDENTITY_PRIMES:
-            probes.append(monodromy_probe(p, threads).as_dict())
+            probes.append(monodromy_probe(p).as_dict())
 
     must_failures = [t["id"] for t in targets
                      if t["must_match"] and t["verdict"] != "match"]
@@ -834,9 +833,8 @@ def cmd_count(args) -> int:
             else:
                 if cache is not None:
                     from .counting import commutator_fiber_distribution
-                    commutator_fiber_distribution(p, cache=cache,
-                                                  threads=config.threads)
-                count = fast_count(p, spec, config.threads)
+                    commutator_fiber_distribution(p, cache=cache)
+                count = fast_count(p, spec)
         except OracleRangeError as e:
             rows.append({"p": p, "target": args.target, "skipped": str(e)})
             continue
@@ -927,7 +925,7 @@ def cmd_probe(args) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    reports = [monodromy_probe(p, config.threads).as_dict()
+    reports = [monodromy_probe(p).as_dict()
                for p in config.primes]
     if args.format == "json":
         _emit(json.dumps({"probe": reports}, indent=2), args.output)

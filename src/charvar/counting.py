@@ -4,13 +4,18 @@ Two independent routes exist for every target and their agreement is a
 test-suite contract:
 
 * the fast path reduces everything to the commutator-fiber class function
-  #{(A,B): [A,B] = g} = sum over A with A^{-1}g ~ A^{-1} of |C(A)|
-  (the B's conjugating A^{-1} to A^{-1}g form a centralizer coset), and
-  then evaluates trace predicates on forced third factors: in every
-  barred set the C coordinate is determined, C = [A,B]^{-1} T, so the
-  count is a sum of fiber values against a membership mask;
+  #{(A,B): [A,B] = g}, read in closed form from the SL(2,F_p) character
+  table (see commutator_fiber_distribution), and then evaluates trace
+  predicates on forced third factors: in every barred set the C
+  coordinate is determined, C = [A,B]^{-1} T, so the count is a sum of
+  fiber values against a membership mask;
 * the brute-force oracle enumerates pairs (A,B) directly with no class
   theory at all, guarded to small primes.
+
+The test suite keeps a third, vectorised route to the fibers as an oracle
+for the closed forms above the brute guard: the class-function identity
+#{(A,B): [A,B] = g} = sum over A with A^{-1}g ~ A^{-1} of |C(A)| (the
+B's conjugating A^{-1} to A^{-1}g form a centralizer coset).
 
 Fiber counts are constant on GL(2,F_p)-classes (conjugating both A and B
 is a bijection), so barred-set counts depend only on the geometric class
@@ -33,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sl2 import (ClassLabel, GeometricClass, GroupTable, SL2Element, W0, W1,
-                  W2, W3, W4ANY, group_table, inverse_mod, is_square_mod,
-                  rational_class_of, w4)
+from .sl2 import (CENTRAL_MINUS, CENTRAL_PLUS, SPLIT, UNIPOTENT_MINUS,
+                  UNIPOTENT_PLUS, ClassLabel, GeometricClass, GroupTable,
+                  SL2Element, W0, W1, W2, W3, W4ANY, group_table, inverse_mod,
+                  is_square_mod, rational_class_of, w4)
 
 CACHE_FORMAT = "sl2-commutator-fiber-distribution"
 CACHE_VERSION = 1
@@ -247,28 +253,43 @@ def _parallel_sum(worker, n: int, threads: int) -> int:
         return sum(pool.map(lambda r: worker(*r), ranges))
 
 
-def _fiber_of_entries(table: GroupTable, g: tuple[int, int, int, int],
-                      threads: int = 1) -> int:
-    """Fast fiber over one element: sum of |C(A)| over A with A^{-1}g ~ A^{-1}."""
-    gv = np.array(g, dtype=np.int64)
+def _closed_form_fiber(p: int, label: ClassLabel) -> int:
+    """#{(A,B): [A,B] = g} for g in the rational class `label`.
 
-    def worker(a: int, b: int) -> int:
-        M = table.mat_mul(table.inverses[a:b], gv)
-        hit = table.label_codes(M) == table.codes_inv[a:b]
-        return int(table.centralizers[a:b][hit].sum())
-
-    return _parallel_sum(worker, table.n, threads)
+    Frobenius: the fiber is |G| sum_chi chi(g)/chi(1) over the irreducible
+    characters of SL(2,F_q) (Fulton-Harris 5.2).  Every sum of roots of
+    unity in it cancels by orthogonality, leaving a polynomial in q that
+    depends only on eps = (-1)^((q-1)/2) for U-, and for a regular class of
+    trace t on ell = +1 when t+2 is a square mod q (the Legendre symbol of
+    lam for diag(lam, 1/lam)).
+    """
+    q = p
+    if label.kind == CENTRAL_PLUS:
+        return (q ** 3 - q) * (q + 4)
+    if label.kind == CENTRAL_MINUS:
+        return q ** 3 - q
+    if label.kind == UNIPOTENT_PLUS:
+        return q ** 3 - 2 * q ** 2 - 3 * q
+    if label.kind == UNIPOTENT_MINUS:
+        eps = 1 if q % 4 == 1 else -1
+        return q ** 3 + 3 * eps * q ** 2
+    ell = is_square_mod(label.detail + 2, q)
+    if label.kind == SPLIT:
+        return q ** 3 + 3 * q ** 2 - 3 * q - 1 if ell else (q - 1) ** 3
+    return q ** 3 - 3 * q ** 2 - 3 * q + 1 if ell else (q + 1) ** 3
 
 
 _dist_memo: dict[int, ClassDistribution] = {}
 
 
-def commutator_fiber_distribution(p: int, cache: "DistributionCache | None" = None,
-                                  threads: int = 1) -> ClassDistribution:
+def commutator_fiber_distribution(p: int, cache: "DistributionCache | None" = None
+                                  ) -> ClassDistribution:
     """Fiber count per rational class, memoised per prime.
 
-    With a DistributionCache the result is persisted and reused across
-    processes; the in-memory memo short-circuits repeated calls either way.
+    Fibers come from the character-table closed forms; the totals are
+    checked against |G|^2 pairs over p + 4 classes.  With a
+    DistributionCache the result is persisted and reused across processes;
+    the in-memory memo short-circuits repeated calls either way.
     """
     if p in _dist_memo:
         dist = _dist_memo[p]
@@ -288,12 +309,11 @@ def commutator_fiber_distribution(p: int, cache: "DistributionCache | None" = No
     reps: dict[ClassLabel, SL2Element] = {}
     for code, row in zip(codes.tolist(), first_rows.tolist()):
         label = table.label_of_code(code)
-        rep = table.element(row)
         cent = table.centralizer_of_code(code)
-        fibers[label] = _fiber_of_entries(table, rep.entries(), threads)
+        fibers[label] = _closed_form_fiber(p, label)
         orbits[label] = table.n // cent
         cents[label] = cent
-        reps[label] = rep
+        reps[label] = table.element(row)
     dist = ClassDistribution(p, fibers, orbits, cents, reps)
     dist.check_consistency()
     _dist_memo[p] = dist
@@ -327,10 +347,10 @@ def _code_of_label(table: GroupTable, label: ClassLabel) -> int:
 # fast-path counts
 
 
-def count_commutator_fiber(p: int, target: SL2Element, threads: int = 1) -> int:
+def count_commutator_fiber(p: int, target: SL2Element) -> int:
     if target.p != p:
         raise ValueError(f"target lives mod {target.p}, not {p}")
-    dist = commutator_fiber_distribution(p, threads=threads)
+    dist = commutator_fiber_distribution(p)
     return dist.fibers[rational_class_of(target)]
 
 
@@ -350,14 +370,14 @@ def _membership_mask(table: GroupTable, M: np.ndarray,
     return t == tm
 
 
-def count_zbar(p: int, case: ZbarCase, threads: int = 1) -> int:
+def count_zbar(p: int, case: ZbarCase) -> int:
     """Sum of fiber(eta) over eta with eta^{-1} T in the constraining class."""
     if p < 5:
         raise ValueError("barred-set counts need p >= 5")
     T = case.target_matrix(p)
     pred = case.predicate_class(p)
     table = group_table(p)
-    dist = commutator_fiber_distribution(p, threads=threads)
+    dist = commutator_fiber_distribution(p)
     lut = _fiber_lut(table, dist)
     Tv = np.array(T.entries(), dtype=np.int64)
     C = table.mat_mul(table.inverses, Tv)
@@ -365,15 +385,14 @@ def count_zbar(p: int, case: ZbarCase, threads: int = 1) -> int:
     return int(lut[table.codes][mask].sum())
 
 
-def count_z_full(p: int, spec1: GeometricClass, spec2: GeometricClass,
-                 threads: int = 1) -> int:
+def count_z_full(p: int, spec1: GeometricClass, spec2: GeometricClass) -> int:
     """Class-by-class: sum |K| fiber(rep_K) #{C1 in class1: C1^{-1} rep_K^{-1} in class2}."""
     table = group_table(p)
     if spec1.kind == "W4":
         spec1.lam_mod(p)
     if spec2.kind == "W4":
         spec2.lam_mod(p)
-    dist = commutator_fiber_distribution(p, threads=threads)
+    dist = commutator_fiber_distribution(p)
     members1_inv = table.mat_inv(table.elements[table.geometric_mask(spec1)])
     total = 0
     for label, fib in dist.fibers.items():
@@ -387,12 +406,12 @@ def count_z_full(p: int, spec1: GeometricClass, spec2: GeometricClass,
     return total
 
 
-def count_x_stratum(p: int, name: str, threads: int = 1) -> int:
+def count_x_stratum(p: int, name: str) -> int:
     """F_p points of the commutator preimage of a geometric class union."""
     from . import sl2
     if name not in X_STRATA:
         raise ValueError(f"unknown stratum {name!r}")
-    dist = commutator_fiber_distribution(p, threads=threads)
+    dist = commutator_fiber_distribution(p)
     kinds = {"X0": (sl2.CENTRAL_PLUS,), "X1": (sl2.CENTRAL_MINUS,),
              "X2": (sl2.UNIPOTENT_PLUS,), "X3": (sl2.UNIPOTENT_MINUS,),
              "X4": (sl2.SPLIT, sl2.NONSPLIT)}[name]
@@ -436,15 +455,15 @@ def count_diagonal_commutator_fiber(p: int, lam: int, mu: int, t2: int,
     return matches // (p - 1)
 
 
-def fast_count(p: int, spec: TargetSpec, threads: int = 1) -> int:
+def fast_count(p: int, spec: TargetSpec) -> int:
     if isinstance(spec, CommutatorFiber):
-        return count_commutator_fiber(p, spec.target, threads)
+        return count_commutator_fiber(p, spec.target)
     if isinstance(spec, ZbarCase):
-        return count_zbar(p, spec, threads)
+        return count_zbar(p, spec)
     if isinstance(spec, ZFull):
-        return count_z_full(p, spec.spec1, spec.spec2, threads)
+        return count_z_full(p, spec.spec1, spec.spec2)
     if isinstance(spec, XStratum):
-        return count_x_stratum(p, spec.tag, threads)
+        return count_x_stratum(p, spec.tag)
     if isinstance(spec, DiagonalCommutatorFiber):
         return count_diagonal_commutator_fiber(p, spec.lam, spec.mu, spec.t2, spec.t1)
     raise TypeError(f"unknown target spec {spec!r}")
@@ -454,7 +473,7 @@ def timed_count(p: int, spec: TargetSpec, method: str = "fast",
                 threads: int = 1) -> CountRecord:
     t0 = time.perf_counter()
     if method == "fast":
-        count = fast_count(p, spec, threads)
+        count = fast_count(p, spec)
     elif method == "brute":
         count = brute_force_count(p, spec, threads)
     else:
@@ -649,7 +668,7 @@ class MonodromyReport:
         }
 
 
-def monodromy_probe(p: int, threads: int = 1) -> MonodromyReport:
+def monodromy_probe(p: int) -> MonodromyReport:
     if p < 5:
         raise ValueError("probe needs p >= 5")
     from .strata import building_blocks
@@ -658,7 +677,7 @@ def monodromy_probe(p: int, threads: int = 1) -> MonodromyReport:
     classes: dict[str, list[int]] = {"square": [], "nonsquare": []}
     for lam in range(2, p - 1):
         per_lambda[lam] = count_commutator_fiber(
-            p, SL2Element.diagonal(lam, p), threads)
+            p, SL2Element.diagonal(lam, p))
         classes["square" if is_square_mod(lam, p) else "nonsquare"].append(lam)
     return MonodromyReport(
         p=p,

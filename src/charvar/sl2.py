@@ -393,6 +393,20 @@ _UNIPOTENT_CODE = {(UNIPOTENT_PLUS, SQUARE): 2, (UNIPOTENT_PLUS, NONSQUARE): 3,
                    (UNIPOTENT_MINUS, SQUARE): 4, (UNIPOTENT_MINUS, NONSQUARE): 5}
 
 
+def _sl2_rows(p: int) -> np.ndarray:
+    """enumerate_sl2(p) as a (p^3 - p, 4) int64 array, in the same row order:
+    the m11 = 0 block (m12 major, m22 minor), then m11 = 1..p-1 with
+    (m11, m12, m21) row-major and m22 solved."""
+    r = np.arange(p, dtype=np.int64)
+    inv = np.zeros(p, dtype=np.int64)
+    inv[1:] = [inverse_mod(x, p) for x in range(1, p)]
+    b, d = np.meshgrid(r[1:], r, indexing="ij")
+    zero = np.stack([np.zeros_like(b), b, (-inv[b]) % p, d], axis=-1)
+    a, b, c = np.meshgrid(r[1:], r, r, indexing="ij")
+    rest = np.stack([a, b, c, (1 + b * c) % p * inv[a] % p], axis=-1)
+    return np.concatenate([zero.reshape(-1, 4), rest.reshape(-1, 4)])
+
+
 class GroupTable:
     """SL(2,F_p) as numpy arrays with per-element class data.
 
@@ -403,15 +417,13 @@ class GroupTable:
     def __init__(self, p: int, max_prime: int = MAX_ENUM_PRIME):
         _check_prime(p, max_prime)
         self.p = p
-        self.elements = np.array([m.entries() for m in enumerate_sl2(p, max_prime)],
-                                 dtype=np.int64)
+        self.elements = _sl2_rows(p)
         self.n = len(self.elements)
         self.inverses = self.mat_inv(self.elements)
         sq = np.zeros(p, dtype=bool)
         sq[(np.arange(1, p, dtype=np.int64) ** 2) % p] = True
         self.square_table = sq  # nonzero squares mod p
         self.codes = self.label_codes(self.elements)
-        self.codes_inv = self.label_codes(self.inverses)
         cent = np.empty(self.n, dtype=np.int64)
         cent[self.codes <= 1] = self.n
         cent[(self.codes >= 2) & (self.codes <= 5)] = 2 * p

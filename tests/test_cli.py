@@ -249,6 +249,16 @@ def test_cmd_verify_all_scope_deterministic_and_green(capsys):
     assert {"X0", "Zbar22", "Z23"} <= scopes
 
 
+def test_cmd_verify_panel_overlapping_extension_primes(capsys):
+    # 37 is both on the panel and the first quasi-polynomial extension prime
+    code, out, _ = run_cli(capsys, "verify", "zbar", "--format", "json",
+                           "--primes", "5,7,11,13,17,19,23,29,31,37")
+    assert code == 0
+    for t in json.loads(out)["targets"]:
+        primes = [r["p"] for r in t["records"] + t.get("extension_records", [])]
+        assert len(primes) == len(set(primes)), t["id"]
+
+
 def test_cmd_verify_csv(capsys):
     code, out, _ = run_cli(capsys, "verify", "blocks", "--format", "csv")
     assert code == 0

@@ -318,6 +318,12 @@ def test_group_table_label_codes_agree_with_scalar_labels(p):
         assert table.label_of_code(int(table.codes[row])) == rational_class_of(m)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
+def test_group_table_rows_follow_enumeration_order(p):
+    rows = [m.entries() for m in enumerate_sl2(p)]
+    assert group_table(p).elements.tolist() == [list(r) for r in rows]
+
+
 def test_group_table_centralizers(p=5):
     table = group_table(p)
     for row in (0, 10, 50, 100):
