@@ -657,13 +657,20 @@ def run_verification(scope: str, config: RunConfig) -> dict:
 # count-target parsing
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{text!r} is not an integer") from None
+
+
 def parse_class(text: str) -> GeometricClass:
     text = text.strip().lower()
     fixed = {"w0": W0, "w1": W1, "w2": W2, "w3": W3, "w4any": W4ANY}
     if text in fixed:
         return fixed[text]
     if text.startswith("w4="):
-        return w4(int(text[3:]))
+        return w4(_int(text[3:]))
     raise ConfigError(f"unknown class {text!r} (use w0|w1|w2|w3|w4any|w4=LAM)")
 
 
@@ -683,7 +690,7 @@ def parse_target(text: str):
             if what == "j-":
                 return CommutatorFiber(SL2Element.jminus(p))
             if what.startswith("xi="):
-                lam = int(what[3:]) % p
+                lam = _int(what[3:]) % p
                 if lam in (0, 1, p - 1):
                     return Skip(f"lambda {what[3:]} is 0 or ±1 mod {p}")
                 return CommutatorFiber(SL2Element.diagonal(lam, p))
@@ -700,10 +707,12 @@ def parse_target(text: str):
         if head not in ("zbar22", "zbar23", "zbar24", "zbar34", "zbar44"):
             raise ConfigError(f"unknown barred case {head!r}")
         want = {"zbar22": 0, "zbar23": 0, "zbar24": 1, "zbar34": 1, "zbar44": 2}[head]
-        given = [int(x) for x in args.split(",")] if args else []
+        given = [_int(x) for x in args.split(",")] if args else []
         if given and len(given) != want:
             raise ConfigError(f"{head} takes {want} parameter(s)")
         def make(p):
+            if p < 5:
+                return Skip("barred-set counts need p >= 5")
             lams = given
             if not lams and want:
                 lam = smallest_lambda(p)
@@ -734,10 +743,13 @@ def parse_target(text: str):
         return make
     if low.startswith("xstratum:"):
         tag = text.split(":", 1)[1].upper()
-        spec = XStratum(tag)   # validates the tag
+        try:
+            spec = XStratum(tag)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         return lambda p: spec
     if low.startswith("dcfiber="):
-        args = [int(x) for x in low.split("=", 1)[1].split(",")]
+        args = [_int(x) for x in low.split("=", 1)[1].split(",")]
         if len(args) not in (3, 4):
             raise ConfigError("dcfiber=LAM,MU,T2[,T1]")
         def make(p):
@@ -829,7 +841,7 @@ def cmd_count(args) -> int:
         t0 = time.perf_counter()
         try:
             if args.method == "brute":
-                count = brute_force_count(p, spec, config.threads)
+                count = brute_force_count(p, spec)
             else:
                 if cache is not None:
                     from .counting import commutator_fiber_distribution
@@ -1022,7 +1034,7 @@ def _emit(text: str, output: str | None) -> None:
 def _config_from(args) -> RunConfig:
     primes = DEFAULT_PANEL
     if getattr(args, "primes", None):
-        primes = tuple(int(x) for x in args.primes.split(","))
+        primes = tuple(_int(x) for x in args.primes.split(","))
     return RunConfig(
         primes=primes,
         threads=getattr(args, "threads", 1),
@@ -1047,7 +1059,9 @@ def build_parser() -> argparse.ArgumentParser:
         if primes:
             p.add_argument("--primes", help="comma-separated odd primes "
                            f"(default {','.join(map(str, DEFAULT_PANEL))})")
-            p.add_argument("--threads", type=int, default=1)
+            p.add_argument("--threads", type=int, default=1,
+                           help="ignored; recorded in the verify report's "
+                                "config until its schema changes")
             p.add_argument("--cache-dir", help="persist fiber distributions here")
             p.add_argument("--timings", action="store_true",
                            help="emit real wall times (breaks byte determinism)")

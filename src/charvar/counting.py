@@ -10,7 +10,12 @@ test-suite contract:
   coordinate is determined, C = [A,B]^{-1} T, so the count is a sum of
   fiber values against a membership mask;
 * the brute-force oracle enumerates pairs (A,B) directly with no class
-  theory at all, guarded to small primes.
+  theory at all, guarded to small primes.  It works on row indices of the
+  group table: a per-prime multiplication table (_cayley) turns every
+  product and inverse into one gather, and [A,B] = (AB)(BA)^{-1} is read
+  for a block of A rows against every B at once.  The table is refused
+  above the pair guard, so at most the five odd primes <= 13 ever hold one
+  (about 27 MB in int32 if all are built).
 
 The test suite keeps a third, vectorised route to the fibers as an oracle
 for the closed forms above the brute guard: the class-function identity
@@ -33,15 +38,14 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sl2 import (CENTRAL_MINUS, CENTRAL_PLUS, SPLIT, UNIPOTENT_MINUS,
-                  UNIPOTENT_PLUS, ClassLabel, GeometricClass, GroupTable,
-                  SL2Element, W0, W1, W2, W3, W4ANY, group_table, inverse_mod,
-                  is_square_mod, rational_class_of, w4)
+from .sl2 import (CENTRAL_MINUS, CENTRAL_PLUS, NONSPLIT, SPLIT,
+                  UNIPOTENT_MINUS, UNIPOTENT_PLUS, ClassLabel, GeometricClass,
+                  GroupTable, SL2Element, W0, W1, W2, W3, W4ANY, group_table,
+                  inverse_mod, is_square_mod, rational_class_of, w4)
 
 CACHE_FORMAT = "sl2-commutator-fiber-distribution"
 CACHE_VERSION = 1
@@ -238,21 +242,6 @@ class ClassDistribution:
                 f"{self.n_classes()} classes realised at p={self.p}, expected {self.p+4}")
 
 
-def _chunk_ranges(n: int, pieces: int) -> list[tuple[int, int]]:
-    pieces = max(1, min(pieces, n))
-    step = (n + pieces - 1) // pieces
-    return [(i, min(i + step, n)) for i in range(0, n, step)]
-
-
-def _parallel_sum(worker, n: int, threads: int) -> int:
-    """Deterministic partitioned sum: disjoint ranges, combined by +."""
-    ranges = _chunk_ranges(n, threads * 4 if threads > 1 else 1)
-    if threads <= 1:
-        return sum(worker(a, b) for a, b in ranges)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(lambda r: worker(*r), ranges))
-
-
 def _closed_form_fiber(p: int, label: ClassLabel) -> int:
     """#{(A,B): [A,B] = g} for g in the rational class `label`.
 
@@ -325,22 +314,10 @@ def commutator_fiber_distribution(p: int, cache: "DistributionCache | None" = No
 def _fiber_lut(table: GroupTable, dist: ClassDistribution) -> np.ndarray:
     """code -> per-element fiber count, dense over the code range."""
     lut = np.zeros(6 + 2 * table.p, dtype=np.int64)
-    for label, fib in dist.fibers.items():
-        code = _code_of_label(table, label)
-        lut[code] = fib
+    codes, _ = table.realized_codes()
+    for code in codes.tolist():
+        lut[code] = dist.fibers[table.label_of_code(code)]
     return lut
-
-
-def _code_of_label(table: GroupTable, label: ClassLabel) -> int:
-    from . import sl2
-    if label.kind == sl2.CENTRAL_PLUS:
-        return 0
-    if label.kind == sl2.CENTRAL_MINUS:
-        return 1
-    if label.kind in (sl2.UNIPOTENT_PLUS, sl2.UNIPOTENT_MINUS):
-        return sl2._UNIPOTENT_CODE[(label.kind, label.detail)]
-    base = 6 if label.kind == sl2.SPLIT else 6 + table.p
-    return base + int(label.detail)
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +385,12 @@ def count_z_full(p: int, spec1: GeometricClass, spec2: GeometricClass) -> int:
 
 def count_x_stratum(p: int, name: str) -> int:
     """F_p points of the commutator preimage of a geometric class union."""
-    from . import sl2
     if name not in X_STRATA:
         raise ValueError(f"unknown stratum {name!r}")
     dist = commutator_fiber_distribution(p)
-    kinds = {"X0": (sl2.CENTRAL_PLUS,), "X1": (sl2.CENTRAL_MINUS,),
-             "X2": (sl2.UNIPOTENT_PLUS,), "X3": (sl2.UNIPOTENT_MINUS,),
-             "X4": (sl2.SPLIT, sl2.NONSPLIT)}[name]
+    kinds = {"X0": (CENTRAL_PLUS,), "X1": (CENTRAL_MINUS,),
+             "X2": (UNIPOTENT_PLUS,), "X3": (UNIPOTENT_MINUS,),
+             "X4": (SPLIT, NONSPLIT)}[name]
     return sum(dist.orbit_sizes[lab] * dist.fibers[lab]
                for lab in dist.fibers if lab.kind in kinds)
 
@@ -469,13 +445,12 @@ def fast_count(p: int, spec: TargetSpec) -> int:
     raise TypeError(f"unknown target spec {spec!r}")
 
 
-def timed_count(p: int, spec: TargetSpec, method: str = "fast",
-                threads: int = 1) -> CountRecord:
+def timed_count(p: int, spec: TargetSpec, method: str = "fast") -> CountRecord:
     t0 = time.perf_counter()
     if method == "fast":
         count = fast_count(p, spec)
     elif method == "brute":
-        count = brute_force_count(p, spec, threads)
+        count = brute_force_count(p, spec)
     else:
         raise ValueError(f"unknown method {method!r}")
     ms = (time.perf_counter() - t0) * 1000.0
@@ -486,16 +461,69 @@ def timed_count(p: int, spec: TargetSpec, method: str = "fast",
 # brute-force oracle: direct enumeration, no class theory
 
 
-def _commutator_row(table: GroupTable, i: int) -> np.ndarray:
-    """[A_i, B] for every B, one vectorised row of the pair enumeration."""
+_CELLS = 1 << 18   # gathered cells per block: a few MB of temporaries
+
+_cayley_memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _encode(M: np.ndarray, p: int) -> np.ndarray:
+    return ((M[..., 0] * p + M[..., 1]) * p + M[..., 2]) * p + M[..., 3]
+
+
+def _cayley(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mul, inv) on the rows of group_table(p): mul[i, j] is the row of
+    E_i E_j and inv[i] the row of E_i^{-1}, both int32 and read-only.
+
+    Built from table.mat_mul in blocks of rows; a dense p^4 lookup from
+    encoded entries turns each product back into a row.  Memoised per
+    prime and refused above BRUTE_MAX_PAIR_PRIME, which bounds the memo.
+    """
+    if p > BRUTE_MAX_PAIR_PRIME:
+        raise OracleRangeError(
+            f"oracle out of range: multiplication tables are guarded to "
+            f"p <= {BRUTE_MAX_PAIR_PRIME}, got {p}")
+    if p in _cayley_memo:
+        return _cayley_memo[p]
+    table = group_table(p)
     n = table.n
-    A = np.broadcast_to(table.elements[i], (n, 4))
-    Ai = np.broadcast_to(table.inverses[i], (n, 4))
-    return table.mat_mul(table.mat_mul(A, table.elements),
-                         table.mat_mul(Ai, table.inverses))
+    row_of = np.full(p ** 4, -1, dtype=np.int32)
+    row_of[_encode(table.elements, p)] = np.arange(n, dtype=np.int32)
+
+    def rows(M: np.ndarray) -> np.ndarray:
+        r = row_of[_encode(M, p)]
+        if (r < 0).any():
+            raise ArithmeticError(f"a product missed the group table at p={p}")
+        return r
+
+    inv = rows(table.inverses)
+    mul = np.empty((n, n), dtype=np.int32)
+    step = max(1, _CELLS // n)
+    for a in range(0, n, step):
+        mul[a:a + step] = rows(table.mat_mul(table.elements[a:a + step, None],
+                                             table.elements[None]))
+    mul.flags.writeable = inv.flags.writeable = False
+    _cayley_memo[p] = mul, inv
+    return mul, inv
 
 
-def brute_force_count(p: int, spec: TargetSpec, threads: int = 1) -> int:
+def _commutator_blocks(p: int, cells: int = _CELLS):
+    """Row indices of [A, B] = (AB)(BA)^{-1} for every B, a block of A rows
+    at a time; each block is a (rows, n) int32 array of about `cells`
+    entries."""
+    mul, inv = _cayley(p)
+    n = len(inv)
+    flat = mul.ravel()
+    step = max(1, cells // n)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        yield flat[mul[a:b] * n + inv[mul[:, a:b].T]]
+
+
+def _row_of(table: GroupTable, m: SL2Element) -> int:
+    return int(np.flatnonzero((table.elements == m.entries()).all(axis=1))[0])
+
+
+def brute_force_count(p: int, spec: TargetSpec) -> int:
     """Ground-truth count by direct nested enumeration.
 
     Hard runtime guards: p <= 13 for pair-domain targets and p <= 7 for
@@ -508,14 +536,8 @@ def brute_force_count(p: int, spec: TargetSpec, threads: int = 1) -> int:
                 f"p <= {BRUTE_MAX_PAIR_PRIME}, got {p}")
         if spec.target.p != p:
             raise ValueError("target modulus mismatch")
-        table = group_table(p)
-        tv = np.array(spec.target.entries(), dtype=np.int64)
-
-        def worker(a: int, b: int) -> int:
-            return sum(int((_commutator_row(table, i) == tv).all(axis=1).sum())
-                       for i in range(a, b))
-
-        return _parallel_sum(worker, table.n, threads)
+        t = _row_of(group_table(p), spec.target)
+        return sum(int((C == t).sum()) for C in _commutator_blocks(p))
 
     if isinstance(spec, ZbarCase):
         if p > BRUTE_MAX_TUPLE_PRIME:
@@ -525,17 +547,12 @@ def brute_force_count(p: int, spec: TargetSpec, threads: int = 1) -> int:
         if p < 5:
             raise ValueError("barred-set counts need p >= 5")
         table = group_table(p)
-        T = np.array(spec.target_matrix(p).entries(), dtype=np.int64)
-        pred = spec.predicate_class(p)
-
-        def worker(a: int, b: int) -> int:
-            total = 0
-            for i in range(a, b):
-                C = table.mat_mul(table.mat_inv(_commutator_row(table, i)), T)
-                total += int(_membership_mask(table, C, pred).sum())
-            return total
-
-        return _parallel_sum(worker, table.n, threads)
+        mul, inv = _cayley(p)
+        t = _row_of(table, spec.target_matrix(p))
+        mask = _membership_mask(table, table.elements, spec.predicate_class(p))
+        times_t = mul[:, t]
+        # C = [A,B]^{-1} T
+        return sum(int(mask[times_t[inv[C]]].sum()) for C in _commutator_blocks(p))
 
     if isinstance(spec, ZFull):
         if p > BRUTE_MAX_TUPLE_PRIME:
@@ -543,19 +560,13 @@ def brute_force_count(p: int, spec: TargetSpec, threads: int = 1) -> int:
                 f"oracle out of range: full tuple sets are guarded to "
                 f"p <= {BRUTE_MAX_TUPLE_PRIME}, got {p}")
         table = group_table(p)
-        members1_inv = table.mat_inv(
-            table.elements[table.geometric_mask(spec.spec1)])
-
-        def worker(a: int, b: int) -> int:
-            total = 0
-            for i in range(a, b):
-                etas_inv = table.mat_inv(_commutator_row(table, i))
-                # C2 = C1^{-1} eta^{-1} for every (C1, B) pair at once
-                M = table.mat_mul(members1_inv[:, None, :], etas_inv[None, :, :])
-                total += int(_membership_mask(table, M, spec.spec2).sum())
-            return total
-
-        return _parallel_sum(worker, table.n, threads)
+        mul, inv = _cayley(p)
+        mask1 = _membership_mask(table, table.elements, spec.spec1)
+        mask2 = _membership_mask(table, table.elements, spec.spec2)
+        K1inv = inv[mask1]
+        # C2 = C1^{-1} [A,B]^{-1} for every (C1, A, B) at once
+        return sum(int(mask2[mul[K1inv[:, None, None], inv[C][None]]].sum())
+                   for C in _commutator_blocks(p, _CELLS // len(K1inv)))
 
     if isinstance(spec, XStratum):
         if p > BRUTE_MAX_PAIR_PRIME:
@@ -563,14 +574,8 @@ def brute_force_count(p: int, spec: TargetSpec, threads: int = 1) -> int:
                 f"oracle out of range: strata are guarded to "
                 f"p <= {BRUTE_MAX_PAIR_PRIME}, got {p}")
         table = group_table(p)
-        union = spec.geometric_union()
-
-        def worker(a: int, b: int) -> int:
-            return sum(
-                int(_membership_mask(table, _commutator_row(table, i), union).sum())
-                for i in range(a, b))
-
-        return _parallel_sum(worker, table.n, threads)
+        mask = _membership_mask(table, table.elements, spec.geometric_union())
+        return sum(int(mask[C].sum()) for C in _commutator_blocks(p))
 
     if isinstance(spec, DiagonalCommutatorFiber):
         if p > BRUTE_MAX_PAIR_PRIME:
@@ -615,26 +620,19 @@ def _brute_diagonal_commutator_fiber(p: int, spec: DiagonalCommutatorFiber) -> i
     return matches // (p - 1)
 
 
-def brute_commutator_tally(p: int, threads: int = 1) -> dict[tuple, int]:
-    """Value -> pair count over the full pair enumeration; guard p <= 13."""
+def brute_commutator_tally(p: int) -> dict[tuple, int]:
+    """Value -> pair count over the full pair enumeration; guard p <= 13.
+
+    Keys come in table row order, which is lexicographic in the entries."""
     if p > BRUTE_MAX_PAIR_PRIME:
         raise OracleRangeError(
             f"oracle out of range: tally guarded to p <= {BRUTE_MAX_PAIR_PRIME}")
     table = group_table(p)
-    n = table.n
-    enc_chunks = []
-    for i in range(n):
-        comm = _commutator_row(table, i)
-        enc_chunks.append(((comm[:, 0] * p + comm[:, 1]) * p
-                           + comm[:, 2]) * p + comm[:, 3])
-    vals, counts = np.unique(np.concatenate(enc_chunks), return_counts=True)
-    out = {}
-    for e, c in zip(vals.tolist(), counts.tolist()):
-        m22 = e % p; e //= p
-        m21 = e % p; e //= p
-        m12 = e % p; e //= p
-        out[(e, m12, m21, m22)] = c
-    return out
+    counts = np.zeros(table.n, dtype=np.int64)
+    for C in _commutator_blocks(p):
+        counts += np.bincount(C.ravel(), minlength=table.n)
+    return {tuple(table.elements[r].tolist()): int(counts[r])
+            for r in np.flatnonzero(counts).tolist()}
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,31 @@ def test_cmd_count_bad_target(capsys):
 def test_cmd_count_bad_primes(capsys):
     code, _, err = run_cli(capsys, "count", "zbar22", "--primes", "9")
     assert code == 2
+    code, _, err = run_cli(capsys, "count", "zbar22", "--primes", "5,x")
+    assert code == 2
+    assert "error: 'x' is not an integer" in err
+
+
+def test_cmd_count_unknown_stratum(capsys):
+    code, _, err = run_cli(capsys, "count", "xstratum:X9", "--primes", "5")
+    assert code == 2
+    assert "error: unknown stratum 'X9'" in err
+
+
+@pytest.mark.parametrize("method", ["fast", "brute"])
+def test_cmd_count_skips_barred_sets_below_5(capsys, method):
+    code, out, _ = run_cli(capsys, "count", "zbar22", "--primes", "3,5",
+                           "--method", method)
+    assert code == 0
+    assert "p=3   skipped: barred-set counts need p >= 5" in out
+    assert "count=3840" in out
+
+
+@pytest.mark.parametrize("target", ["zbar44=2,x", "dcfiber=a,3,5"])
+def test_cmd_count_non_integer_parameters(capsys, target):
+    code, _, err = run_cli(capsys, "count", target, "--primes", "7")
+    assert code == 2
+    assert "is not an integer" in err
 
 
 def test_cmd_hodge_default(capsys):

@@ -10,6 +10,7 @@ class-function identity (vector_fiber).
 import numpy as np
 import pytest
 
+import charvar.counting as counting
 from charvar.counting import (CommutatorFiber, DiagonalCommutatorFiber,
                               DistributionCache, OracleRangeError, XStratum,
                               ZFull, ZbarCase, brute_commutator_tally,
@@ -19,7 +20,8 @@ from charvar.counting import (CommutatorFiber, DiagonalCommutatorFiber,
                               count_z_full, count_zbar, fast_count,
                               monodromy_probe)
 from charvar.sl2 import (NONSPLIT, SL2Element, W0, W1, W2, W3, W4ANY,
-                         group_table, inverse_mod, rational_class_of, w4)
+                         commutator, enumerate_sl2, group_table, inverse_mod,
+                         rational_class_of, w4)
 
 
 def vector_fiber(table, g) -> int:
@@ -358,7 +360,7 @@ def test_monodromy_probe_always_reports():
 
 
 # ---------------------------------------------------------------------------
-# oracle guards, threads, cache
+# oracle guards, cache
 
 
 def test_oracle_range_guards():
@@ -368,16 +370,6 @@ def test_oracle_range_guards():
         brute_force_count(11, ZbarCase("zbar22"))
     with pytest.raises(OracleRangeError, match="oracle out of range"):
         brute_force_count(11, ZFull(W2, W3))
-
-
-def test_threaded_counts_are_deterministic():
-    p = 7
-    case = ZbarCase("zbar44", 2, 3)
-    assert brute_force_count(p, case, threads=3) == \
-        brute_force_count(p, case, threads=1)
-    target = CommutatorFiber(SL2Element.jplus(p))
-    assert brute_force_count(p, target, threads=4) == \
-        brute_force_count(p, target, threads=1)
 
 
 def test_distribution_cache_round_trip(tmp_path):
@@ -421,3 +413,83 @@ def test_timed_count_records():
     assert brute.count == rec.count and brute.method == "brute"
     with pytest.raises(ValueError):
         timed_count(5, ZbarCase("zbar22"), method="magic")
+
+
+# ---------------------------------------------------------------------------
+# the oracle's multiplication table
+
+
+def _check_cayley_pairs(p, pairs):
+    table = group_table(p)
+    mul, inv = counting._cayley(p)
+    for i, j in pairs:
+        a, b = table.element(i), table.element(j)
+        assert table.element(int(mul[i, j])) == a * b, (i, j)
+    for i in range(table.n):
+        assert table.element(int(inv[i])) == table.element(i).inverse(), i
+
+
+def test_cayley_table_matches_sl2_arithmetic_at_5():
+    n = group_table(5).n
+    _check_cayley_pairs(5, [(i, j) for i in range(n) for j in range(n)])
+
+
+def test_cayley_table_matches_sl2_arithmetic_on_a_sample_at_13():
+    n = group_table(13).n
+    rng = np.random.default_rng(13)
+    _check_cayley_pairs(13, rng.integers(0, n, size=(2000, 2)).tolist())
+
+
+def test_cayley_table_is_refused_above_the_pair_guard():
+    with pytest.raises(OracleRangeError, match="oracle out of range"):
+        counting._cayley(17)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_tally_matches_pure_python_enumeration(p):
+    expected = {}
+    for a in enumerate_sl2(p):
+        for b in enumerate_sl2(p):
+            g = commutator(a, b).entries()
+            expected[g] = expected.get(g, 0) + 1
+    tally = brute_commutator_tally(p)
+    assert tally == expected
+    assert list(tally) == sorted(tally)   # lexicographic key order
+
+
+class _NoClassData:
+    """A group table that refuses every read of per-element class data."""
+
+    HIDDEN = ("codes", "centralizers", "label_codes", "realized_codes",
+              "label_of_code", "centralizer_of_code")
+
+    def __init__(self, table):
+        self._table = table
+
+    def __getattr__(self, name):
+        if name in self.HIDDEN:
+            raise AssertionError(f"the oracle read class data: {name}")
+        return getattr(self._table, name)
+
+
+def test_oracle_uses_no_class_theory(monkeypatch):
+    p = 5
+    specs = [CommutatorFiber(SL2Element.jminus(p)), ZbarCase("zbar44", 2, 2),
+             ZFull(W2, w4(2)), XStratum("X3"), DiagonalCommutatorFiber(2, 3, 0)]
+    expected = [fast_count(p, spec) for spec in specs]
+    dist = commutator_fiber_distribution(p)
+    tally_expected = {rep.entries(): dist.fibers[label]
+                      for label, rep in dist.representatives.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle used the class distribution")
+
+    monkeypatch.setattr(counting, "commutator_fiber_distribution", refuse)
+    monkeypatch.setattr(counting, "_closed_form_fiber", refuse)
+    monkeypatch.setattr(counting, "group_table",
+                        lambda q: _NoClassData(group_table(q)))
+    monkeypatch.setattr(counting, "_cayley_memo", {})
+    assert [brute_force_count(p, spec) for spec in specs] == expected
+    tally = brute_commutator_tally(p)
+    for g, fib in tally_expected.items():
+        assert tally.get(g, 0) == fib, g
