@@ -16,20 +16,18 @@ The command line front end lives in :mod:`charvar.cli`.
 """
 
 from .epoly import EPolynomial, ExactDivisionError, Q, exact_divide
-from .sl2 import (ClassLabel, FieldElement, GeometricClass, SL2Element, W0,
-                  W1, W2, W3, W4ANY, admissible_lambdas, centralizer_order,
-                  commutator, enumerate_sl2, geometric_members, group_table,
-                  is_square_mod, orbit_size, rational_class_of, w4)
+from .sl2 import (ClassLabel, GeometricClass, SL2Element, W0, W1, W2, W3,
+                  W4ANY, admissible_lambdas, centralizer_order, commutator,
+                  enumerate_sl2, geometric_members, group_table, is_square_mod,
+                  orbit_size, rational_class_of, w4)
 from .counting import (BRUTE_MAX_PAIR_PRIME, BRUTE_MAX_TUPLE_PRIME, XStratum,
-                       ClassDistribution, CommutatorFiber, CountRecord,
-                       DiagonalCommutatorFiber, DistributionCache,
-                       MonodromyReport, OracleRangeError, ZFull, ZbarCase,
+                       ClassDistribution, CommutatorFiber,
+                       DiagonalCommutatorFiber, MonodromyReport,
+                       OracleRangeError, ZFull, ZbarCase,
                        brute_commutator_tally, brute_force_count,
-                       commutator_fiber_distribution,
-                       count_commutator_fiber,
+                       commutator_fiber_distribution, count_commutator_fiber,
                        count_diagonal_commutator_fiber, count_x_stratum,
-                       count_z_full, count_zbar, fast_count, monodromy_probe,
-                       timed_count)
+                       count_z_full, count_zbar, fast_count, monodromy_probe)
 from .interpolate import (Comparison, FitError, FitReport,
                           InsufficientPointsError, NonIntegralFitError,
                           compare, consistency_check, lagrange_fit)

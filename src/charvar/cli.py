@@ -15,20 +15,20 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .counting import (CommutatorFiber, DiagonalCommutatorFiber,
-                       DistributionCache, OracleRangeError, XStratum, ZFull,
-                       ZbarCase, brute_force_count, count_commutator_fiber,
+                       OracleRangeError, TargetSpec, XStratum, ZFull, ZbarCase,
+                       brute_force_count, count_commutator_fiber,
                        count_x_stratum, count_z_full, count_zbar, fast_count,
-                       monodromy_probe)
+                       membership_mask, monodromy_probe)
 from .epoly import EPolynomial
 from .hodge import (compact_betti_from_poincare, default_instance,
                     enumerate_tables, forced_entries)
-from .interpolate import (EXACT, QUASI, FitError, consistency_check,
+from .interpolate import (EXACT, QUASI, FitError, compare, consistency_check,
                           lagrange_fit)
-from .sl2 import (GeometricClass, SL2Element, W0, W1, W2, W3, W4ANY,
-                  group_table, inverse_mod, is_odd_prime, is_square_mod, w4)
+from .sl2 import (MAX_ENUM_PRIME, GeometricClass, SL2Element, W0, W1, W2, W3,
+                  W4ANY, group_table, inverse_mod, is_odd_prime, is_square_mod,
+                  w4)
 from .strata import (CASE_IDS, building_blocks, derive_case,
                      stated_results, stated_zbar_totals,
                      z_reduction_references)
@@ -50,26 +50,19 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     primes: tuple[int, ...] = DEFAULT_PANEL
-    threads: int = 1
-    cache_dir: str | None = None
-    fmt: str = "text"
-    output: str | None = None
     timings: bool = False
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise ConfigError("thread count must be >= 1")
         seen = set()
         for p in self.primes:
             if not is_odd_prime(p):
                 raise ConfigError(f"{p} is not an odd prime")
+            if p > MAX_ENUM_PRIME:
+                raise ConfigError(f"{p} exceeds the enumeration bound {MAX_ENUM_PRIME}")
             if p in seen:
                 raise ConfigError(f"duplicate prime {p}")
             seen.add(p)
         self.primes = tuple(sorted(self.primes))
-
-    def cache(self) -> DistributionCache | None:
-        return DistributionCache(self.cache_dir) if self.cache_dir else None
 
 
 # ---------------------------------------------------------------------------
@@ -96,261 +89,154 @@ def generic_pair(p: int, same_class: bool) -> tuple[int, int] | None:
     return None
 
 
-# ---------------------------------------------------------------------------
-# verification targets
-
-
 @dataclass
 class Skip:
     reason: str
 
 
-@dataclass
+def fill_template(template: str, policy: str, p: int) -> "str | Skip":
+    """A plan row's target text at p: the template's {} slots filled by the
+    lambda policy (none, smallest, equal, square, nonsquare, generic-same,
+    generic-cross, special)."""
+    if policy == "none":
+        return template
+    if policy in ("smallest", "equal"):
+        lam = smallest_lambda(p)
+        if lam is None:
+            return Skip("no admissible lambda")
+        return template.format(lam, lam)
+    if policy in ("square", "nonsquare"):
+        lam = smallest_lambda(p, square=policy == "square")
+        if lam is None:
+            return Skip("no admissible lambda in this square class")
+        return template.format(lam)
+    if policy in ("generic-same", "generic-cross"):
+        pair = generic_pair(p, same_class=policy == "generic-same")
+        if pair is None:
+            return Skip("no generic pair in this class pattern")
+        return template.format(*pair)
+    if policy != "special":
+        raise ValueError(f"unknown lambda policy {policy!r}")
+    try:
+        if ZbarCase("zbar44", 2, -2).regime(p) != "special":
+            return Skip("lam2 = -lam1 is not a special pair here")
+    except ValueError:
+        return Skip("no admissible special pair")
+    return template.format(2 % p, -2 % p)
+
+
+# ---------------------------------------------------------------------------
+# verification plan
+
+
+@dataclass(frozen=True)
 class TargetPlan:
+    """One verification target: a `charvar count` target template, or a
+    class (w2, w4={}) whose size is counted, filled per prime by a policy."""
     id: str
     degree: int
     reference: EPolynomial | None
-    counter: Callable[[int], "int | Skip"]
+    template: str
+    policy: str = "none"
     must_match: bool = False
+    brute_prime: int | None = None    # oracle prime for a non-match verdict
     params: dict = field(default_factory=dict)
-    brute_spec: Callable[[int], object] | None = None   # p -> TargetSpec
-    brute_prime: int | None = None
+
+    def spec(self, p: int) -> "TargetSpec | GeometricClass | Skip":
+        text = fill_template(self.template, self.policy, p)
+        if isinstance(text, Skip):
+            return text
+        if self.template.startswith("w"):
+            return parse_class(text)
+        return parse_target(text)(p)
+
+    def count(self, p: int) -> "int | Skip":
+        spec = self.spec(p)
+        if isinstance(spec, Skip):
+            return spec
+        if isinstance(spec, GeometricClass):
+            table = group_table(p)
+            return int(membership_mask(table, table.elements, spec).sum())
+        return fast_count(p, spec)
 
 
-def _blocks_targets() -> list[TargetPlan]:
-    b = building_blocks()
-
-    def w2_size(p):
-        return int(group_table(p).geometric_mask(W2).sum())
-
-    def w4_size(p):
-        lam = smallest_lambda(p)
-        if lam is None:
-            return Skip("no admissible lambda")
-        return int(group_table(p).geometric_mask(w4(lam)).sum())
-
-    def stratum(name):
-        return lambda p: count_x_stratum(p, name)
-
-    def fiber(rep_of):
-        return lambda p: count_commutator_fiber(p, rep_of(p))
-
-    def xi_fiber(square):
-        def counter(p):
-            lam = smallest_lambda(p, square=square)
-            if lam is None:
-                return Skip("no admissible lambda in this square class")
-            return count_commutator_fiber(p, SL2Element.diagonal(lam, p))
-        return counter
-
-    return [
-        TargetPlan("W2-size", 2, b.w2, w2_size, must_match=True),
-        TargetPlan("W4lam-size", 2, b.w4lam, w4_size, must_match=True,
-                   params={"lambda": "smallest admissible"}),
-        TargetPlan("X0", 4, b.x0, stratum("X0"), must_match=True,
-                   brute_spec=lambda p: CommutatorFiber(SL2Element.identity(p)),
-                   brute_prime=5),
-        TargetPlan("X1", 3, b.x1, stratum("X1"), must_match=True,
-                   brute_spec=lambda p: CommutatorFiber(SL2Element.minus_identity(p)),
-                   brute_prime=5),
-        TargetPlan("Xbar2", 3, b.xbar2, fiber(SL2Element.jplus), must_match=True,
-                   brute_spec=lambda p: CommutatorFiber(SL2Element.jplus(p)),
-                   brute_prime=5),
-        TargetPlan("Xbar3", 3, b.xbar3, fiber(SL2Element.jminus),
-                   brute_spec=lambda p: CommutatorFiber(SL2Element.jminus(p)),
-                   brute_prime=7),
-        TargetPlan("Xbar4lam[qr]", 3, b.xbar4lam, xi_fiber(True),
-                   params={"lambda": "smallest square"},
-                   brute_spec=lambda p: CommutatorFiber(
-                       SL2Element.diagonal(smallest_lambda(p, True), p)),
-                   brute_prime=7),
-        TargetPlan("Xbar4lam[qnr]", 3, b.xbar4lam, xi_fiber(False),
-                   params={"lambda": "smallest nonsquare"},
-                   brute_spec=lambda p: CommutatorFiber(
-                       SL2Element.diagonal(smallest_lambda(p, False), p)),
-                   brute_prime=5),
-        TargetPlan("X2", 5, b.x2, stratum("X2"), must_match=True,
-                   brute_spec=lambda p: XStratum("X2"), brute_prime=5),
-        TargetPlan("X3", 5, b.x3, stratum("X3"),
-                   brute_spec=lambda p: XStratum("X3"), brute_prime=7),
-        TargetPlan("X4", 6, b.x4, stratum("X4"),
-                   brute_spec=lambda p: XStratum("X4"), brute_prime=7),
-    ]
-
-
-def _zbar_targets() -> list[TargetPlan]:
-    zb = stated_zbar_totals()
-
-    def zbar(case_of):
-        def counter(p):
-            case = case_of(p)
-            if isinstance(case, Skip):
-                return case
-            return count_zbar(p, case)
-        return counter
-
-    def z24_case(square):
-        def make(p):
-            lam = smallest_lambda(p, square=square)
-            if lam is None:
-                return Skip("no admissible lambda in this square class")
-            return ZbarCase("zbar24", lam)
-        return make
-
-    def z34_case(square):
-        def make(p):
-            lam = smallest_lambda(p, square=square)
-            if lam is None:
-                return Skip("no admissible lambda in this square class")
-            return ZbarCase("zbar34", lam)
-        return make
-
-    def z44_equal(p):
-        lam = smallest_lambda(p)
-        if lam is None:
-            return Skip("no admissible lambda")
-        return ZbarCase("zbar44", lam, lam)
-
-    def z44_generic(same):
-        def make(p):
-            pair = generic_pair(p, same_class=same)
-            if pair is None:
-                return Skip("no generic pair in this class pattern")
-            return ZbarCase("zbar44", *pair)
-        return make
-
-    def z44_special(p):
-        l1 = 2 % p
-        l2 = (-2) % p
-        case = ZbarCase("zbar44", l1, l2)
-        try:
-            if case.regime(p) != "special":
-                return Skip("lam2 = -lam1 is not a special pair here")
-        except ValueError:
-            return Skip("no admissible special pair")
-        return case
-
-    mk = [
-        TargetPlan("Zbar22", 5, zb["J+J+"],
-                   zbar(lambda p: ZbarCase("zbar22")),
-                   brute_spec=lambda p: ZbarCase("zbar22"), brute_prime=5),
-        TargetPlan("Zbar23", 5, zb["J+J-"],
-                   zbar(lambda p: ZbarCase("zbar23")),
-                   brute_spec=lambda p: ZbarCase("zbar23"), brute_prime=5),
-        TargetPlan("Zbar24[qr]", 5, zb["J+xi"], zbar(z24_case(True)),
-                   params={"lambda": "smallest square"},
-                   brute_spec=lambda p: z24_case(True)(p), brute_prime=7),
-        TargetPlan("Zbar24[qnr]", 5, zb["J+xi"], zbar(z24_case(False)),
-                   params={"lambda": "smallest nonsquare"},
-                   brute_spec=lambda p: z24_case(False)(p), brute_prime=5),
-        TargetPlan("Zbar34[qr]", 5, zb["J+xi"], zbar(z34_case(True)),
-                   params={"lambda": "smallest square"},
-                   brute_spec=lambda p: z34_case(True)(p), brute_prime=7),
-        TargetPlan("Zbar34[qnr]", 5, zb["J+xi"], zbar(z34_case(False)),
-                   params={"lambda": "smallest nonsquare"},
-                   brute_spec=lambda p: z34_case(False)(p), brute_prime=5),
-        TargetPlan("Zbar44[equal]", 5, zb["xixi-equal"], zbar(z44_equal),
-                   params={"lambda": "smallest admissible, equal pair"},
-                   brute_spec=lambda p: z44_equal(p), brute_prime=5),
-        TargetPlan("Zbar44[generic-same]", 5, zb["xixi-generic"],
-                   zbar(z44_generic(True)),
-                   params={"pair": "first generic pair, matching square classes"}),
-        TargetPlan("Zbar44[generic-cross]", 5, zb["xixi-generic"],
-                   zbar(z44_generic(False)),
-                   params={"pair": "first generic pair, crossed square classes"},
-                   brute_spec=lambda p: z44_generic(False)(p), brute_prime=7),
-        TargetPlan("Zbar44[special]", 5, zb["xixi-generic"], zbar(z44_special),
-                   params={"pair": "(2, -2)"},
-                   brute_spec=lambda p: z44_special(p), brute_prime=7),
-    ]
-    return mk
-
-
-def _zf_spec(s1, s2) -> "ZFull | Skip":
-    if isinstance(s1, Skip):
-        return s1
-    if isinstance(s2, Skip):
-        return s2
-    return ZFull(s1, s2)
-
-
-def _zfull_targets() -> list[TargetPlan]:
-    b = building_blocks()
-    zrefs = z_reduction_references()
-    zb = stated_zbar_totals()
-
-    def zf(s1_of, s2_of):
-        def counter(p):
-            s1 = s1_of(p)
-            s2 = s2_of(p)
-            if isinstance(s1, Skip):
-                return s1
-            if isinstance(s2, Skip):
-                return s2
-            return count_z_full(p, s1, s2)
-        return counter
-
-    def const(spec):
-        return lambda p: spec
-
-    def w4_of(square, negate=False):
-        def make(p):
-            lam = smallest_lambda(p, square=square)
-            if lam is None:
-                return Skip("no admissible lambda in this square class")
-            return w4((-lam) % p if negate else lam)
-        return make
-
-    def equal_pair_second(p):
-        lam = smallest_lambda(p)
-        return w4(lam) if lam is not None else Skip("no admissible lambda")
-
-    plans = [
-        TargetPlan("Z00", 4, zrefs["Z00"], zf(const(W0), const(W0)), must_match=True),
-        TargetPlan("Z01", 3, zrefs["Z01"], zf(const(W0), const(W1)), must_match=True),
-        TargetPlan("Z11", 4, zrefs["Z11"], zf(const(W1), const(W1)), must_match=True),
-        TargetPlan("Z02", 5, zrefs["Z02"], zf(const(W0), const(W2)), must_match=True),
-        TargetPlan("Z03", 5, zrefs["Z03"], zf(const(W0), const(W3)),
-                   brute_spec=lambda p: ZFull(W0, W3), brute_prime=7),
-        TargetPlan("Z12", 5, zrefs["Z12"], zf(const(W1), const(W2)),
-                   brute_spec=lambda p: ZFull(W1, W2), brute_prime=7),
-        TargetPlan("Z13", 5, zrefs["Z13"], zf(const(W1), const(W3)), must_match=True),
-        TargetPlan("Z04lam[qr]", 5, zrefs["Z04lam"], zf(const(W0), w4_of(True)),
-                   params={"lambda": "smallest square"},
-                   brute_spec=lambda p: _zf_spec(W0, w4_of(True)(p)), brute_prime=7),
-        TargetPlan("Z04lam[qnr]", 5, zrefs["Z04lam"], zf(const(W0), w4_of(False)),
-                   params={"lambda": "smallest nonsquare"},
-                   brute_spec=lambda p: _zf_spec(W0, w4_of(False)(p)), brute_prime=5),
-        TargetPlan("Z14lam[qr]", 5, zrefs["Z14lam"], zf(const(W1), w4_of(True)),
-                   params={"lambda": "smallest square"},
-                   brute_spec=lambda p: _zf_spec(W1, w4_of(True)(p)), brute_prime=7),
-        TargetPlan("Z14lam[qnr]", 5, zrefs["Z14lam"], zf(const(W1), w4_of(False)),
-                   params={"lambda": "smallest nonsquare"},
-                   brute_spec=lambda p: _zf_spec(W1, w4_of(False)(p)), brute_prime=5),
-        TargetPlan("Z23", 7, b.w2 * zb["J+J-"], zf(const(W2), const(W3)),
-                   brute_spec=lambda p: ZFull(W2, W3), brute_prime=5),
-        TargetPlan("Z24lam[qr]", 7, b.w4lam * zb["J+xi"],
-                   zf(const(W2), w4_of(True)), params={"lambda": "smallest square"},
-                   brute_spec=lambda p: _zf_spec(W2, w4_of(True)(p)), brute_prime=7),
-        TargetPlan("Z24lam[qnr]", 7, b.w4lam * zb["J+xi"],
-                   zf(const(W2), w4_of(False)),
-                   params={"lambda": "smallest nonsquare"},
-                   brute_spec=lambda p: _zf_spec(W2, w4_of(False)(p)), brute_prime=5),
-        TargetPlan("Z34lam[qr]", 7, b.w4lam * zb["J+xi"],
-                   zf(const(W3), w4_of(True)), params={"lambda": "smallest square"},
-                   brute_spec=lambda p: _zf_spec(W3, w4_of(True)(p)), brute_prime=7),
-        TargetPlan("Z34lam[qnr]", 7, b.w4lam * zb["J+xi"],
-                   zf(const(W3), w4_of(False)),
-                   params={"lambda": "smallest nonsquare"},
-                   brute_spec=lambda p: _zf_spec(W3, w4_of(False)(p)), brute_prime=5),
-        TargetPlan("Z44[equal]", 7, b.w4lam * zb["xixi-equal"],
-                   zf(equal_pair_second, equal_pair_second),
-                   params={"pair": "equal smallest admissible"},
-                   brute_spec=lambda p: _zf_spec(equal_pair_second(p),
-                                                 equal_pair_second(p)),
-                   brute_prime=5),
-    ]
-    return plans
+def verification_plan(scope: str) -> list[TargetPlan]:
+    """The targets of one scope (blocks, zbar, zfull or all), in report order."""
+    if scope not in ("blocks", "zbar", "zfull", "all"):
+        raise ConfigError(f"unknown scope {scope!r}")
+    b, zb, zr = building_blocks(), stated_zbar_totals(), z_reduction_references()
+    T = TargetPlan
+    sq, nsq = {"lambda": "smallest square"}, {"lambda": "smallest nonsquare"}
+    table = {
+        "blocks": [
+            T("W2-size", 2, b.w2, "w2", must_match=True),
+            T("W4lam-size", 2, b.w4lam, "w4={}", "smallest", must_match=True,
+              params={"lambda": "smallest admissible"}),
+            T("X0", 4, b.x0, "xstratum:X0", must_match=True, brute_prime=5),
+            T("X1", 3, b.x1, "xstratum:X1", must_match=True, brute_prime=5),
+            T("Xbar2", 3, b.xbar2, "commfiber:j+", must_match=True, brute_prime=5),
+            T("Xbar3", 3, b.xbar3, "commfiber:j-", brute_prime=7),
+            T("Xbar4lam[qr]", 3, b.xbar4lam, "commfiber:xi={}", "square",
+              brute_prime=7, params=sq),
+            T("Xbar4lam[qnr]", 3, b.xbar4lam, "commfiber:xi={}", "nonsquare",
+              brute_prime=5, params=nsq),
+            T("X2", 5, b.x2, "xstratum:X2", must_match=True, brute_prime=5),
+            T("X3", 5, b.x3, "xstratum:X3", brute_prime=7),
+            T("X4", 6, b.x4, "xstratum:X4", brute_prime=7),
+        ],
+        "zbar": [
+            T("Zbar22", 5, zb["J+J+"], "zbar22", brute_prime=5),
+            T("Zbar23", 5, zb["J+J-"], "zbar23", brute_prime=5),
+            T("Zbar24[qr]", 5, zb["J+xi"], "zbar24={}", "square", brute_prime=7,
+              params=sq),
+            T("Zbar24[qnr]", 5, zb["J+xi"], "zbar24={}", "nonsquare", brute_prime=5,
+              params=nsq),
+            T("Zbar34[qr]", 5, zb["J+xi"], "zbar34={}", "square", brute_prime=7,
+              params=sq),
+            T("Zbar34[qnr]", 5, zb["J+xi"], "zbar34={}", "nonsquare", brute_prime=5,
+              params=nsq),
+            T("Zbar44[equal]", 5, zb["xixi-equal"], "zbar44={},{}", "equal",
+              brute_prime=5, params={"lambda": "smallest admissible, equal pair"}),
+            T("Zbar44[generic-same]", 5, zb["xixi-generic"], "zbar44={},{}",
+              "generic-same",
+              params={"pair": "first generic pair, matching square classes"}),
+            T("Zbar44[generic-cross]", 5, zb["xixi-generic"], "zbar44={},{}",
+              "generic-cross", brute_prime=7,
+              params={"pair": "first generic pair, crossed square classes"}),
+            T("Zbar44[special]", 5, zb["xixi-generic"], "zbar44={},{}", "special",
+              brute_prime=7, params={"pair": "(2, -2)"}),
+        ],
+        "zfull": [
+            T("Z00", 4, zr["Z00"], "zfull:w0,w0", must_match=True),
+            T("Z01", 3, zr["Z01"], "zfull:w0,w1", must_match=True),
+            T("Z11", 4, zr["Z11"], "zfull:w1,w1", must_match=True),
+            T("Z02", 5, zr["Z02"], "zfull:w0,w2", must_match=True),
+            T("Z03", 5, zr["Z03"], "zfull:w0,w3", brute_prime=7),
+            T("Z12", 5, zr["Z12"], "zfull:w1,w2", brute_prime=7),
+            T("Z13", 5, zr["Z13"], "zfull:w1,w3", must_match=True),
+            T("Z04lam[qr]", 5, zr["Z04lam"], "zfull:w0,w4={}", "square",
+              brute_prime=7, params=sq),
+            T("Z04lam[qnr]", 5, zr["Z04lam"], "zfull:w0,w4={}", "nonsquare",
+              brute_prime=5, params=nsq),
+            T("Z14lam[qr]", 5, zr["Z14lam"], "zfull:w1,w4={}", "square",
+              brute_prime=7, params=sq),
+            T("Z14lam[qnr]", 5, zr["Z14lam"], "zfull:w1,w4={}", "nonsquare",
+              brute_prime=5, params=nsq),
+            T("Z23", 7, b.w2 * zb["J+J-"], "zfull:w2,w3", brute_prime=5),
+            T("Z24lam[qr]", 7, b.w4lam * zb["J+xi"], "zfull:w2,w4={}", "square",
+              brute_prime=7, params=sq),
+            T("Z24lam[qnr]", 7, b.w4lam * zb["J+xi"], "zfull:w2,w4={}", "nonsquare",
+              brute_prime=5, params=nsq),
+            T("Z34lam[qr]", 7, b.w4lam * zb["J+xi"], "zfull:w3,w4={}", "square",
+              brute_prime=7, params=sq),
+            T("Z34lam[qnr]", 7, b.w4lam * zb["J+xi"], "zfull:w3,w4={}", "nonsquare",
+              brute_prime=5, params=nsq),
+            T("Z44[equal]", 7, b.w4lam * zb["xixi-equal"], "zfull:w4={},w4={}",
+              "equal", brute_prime=5, params={"pair": "equal smallest admissible"}),
+        ],
+    }
+    return [plan for name, rows in table.items()
+            if scope in (name, "all") for plan in rows]
 
 
 def _symbolic_identities() -> list[dict]:
@@ -454,7 +340,7 @@ def _evaluate_target(plan: TargetPlan, config: RunConfig) -> dict:
     usable: list[tuple[int, int]] = []
     for p in config.primes:
         t0 = time.perf_counter()
-        result = plan.counter(p)
+        result = plan.count(p)
         ms = (time.perf_counter() - t0) * 1000.0
         if isinstance(result, Skip):
             records.append({"p": p, "count": None, "method": None, "ms": None,
@@ -486,7 +372,7 @@ def _evaluate_target(plan: TargetPlan, config: RunConfig) -> dict:
     remaining = [p for p in QUASI_EXTENSION if p not in config.primes]
 
     def extend_with(p: int) -> None:
-        result = plan.counter(p)
+        result = plan.count(p)
         if not isinstance(result, Skip):
             extended.append((p, int(result)))
             extension_records.append({"p": p, "count": int(result)})
@@ -549,17 +435,13 @@ def _evaluate_target(plan: TargetPlan, config: RunConfig) -> dict:
 
 def _maybe_brute_confirm(entry: dict, plan: TargetPlan,
                          usable: list[tuple[int, int]]) -> dict:
-    """Non-matching verdicts require the oracle to confirm the counts."""
-    if entry["verdict"] in ("match", "skipped") or plan.brute_spec is None:
-        return entry
+    """Non-matching verdicts require the oracle to confirm the counts; it
+    counts the same spec as the fast path."""
     p = plan.brute_prime
-    if p is None or p not in dict(usable):
-        return entry
-    spec = plan.brute_spec(p)
-    if isinstance(spec, Skip):
+    if entry["verdict"] in ("match", "skipped") or p not in dict(usable):
         return entry
     try:
-        brute = brute_force_count(p, spec)
+        brute = brute_force_count(p, plan.spec(p))
     except OracleRangeError:
         return entry
     fast = dict(usable)[p]
@@ -579,34 +461,19 @@ def _poly_json(poly: EPolynomial | None) -> dict | None:
 def _diff_json(a: EPolynomial, b: EPolynomial | None) -> list:
     if b is None:
         return []
-    from .interpolate import compare as cmp_
     return [{"degree": k, "fit": x, "reference": y}
-            for k, x, y in cmp_(a, b).diffs]
+            for k, x, y in compare(a, b).diffs]
 
 
 def run_verification(scope: str, config: RunConfig) -> dict:
     """The full pipeline for one scope; returns the report dict."""
-    plans: list[TargetPlan] = []
-    if scope in ("blocks", "all"):
-        plans += _blocks_targets()
-    if scope in ("zbar", "all"):
-        plans += _zbar_targets()
-    if scope in ("zfull", "all"):
-        plans += _zfull_targets()
-    if scope not in ("blocks", "zbar", "zfull", "all"):
-        raise ConfigError(f"unknown scope {scope!r}")
+    plans = verification_plan(scope)
 
     max_degree = max((pl.degree for pl in plans), default=0)
     if len(config.primes) < max_degree + 1:
         raise ConfigError(
             f"panel of {len(config.primes)} primes cannot pin degree "
             f"{max_degree}; need at least {max_degree + 1}")
-
-    if config.cache_dir:
-        from .counting import commutator_fiber_distribution
-        cache = config.cache()
-        for p in config.primes:
-            commutator_fiber_distribution(p, cache=cache)
 
     targets = [_evaluate_target(pl, config) for pl in plans]
     identities = _symbolic_identities() + _count_identities(scope, config)
@@ -631,8 +498,9 @@ def run_verification(scope: str, config: RunConfig) -> dict:
         "config": {
             "scope": scope,
             "primes": list(config.primes),
-            "threads": config.threads,
-            "cache_dir": config.cache_dir,
+            # fixed by schema /1; the knobs they recorded are gone
+            "threads": 1,
+            "cache_dir": None,
             "quasi_extension_primes": list(QUASI_EXTENSION),
         },
         "targets": targets,
@@ -680,26 +548,22 @@ def parse_target(text: str):
     low = text.lower()
     if low.startswith("commfiber:"):
         what = low.split(":", 1)[1]
+        fixed = {"id": SL2Element.identity, "-id": SL2Element.minus_identity,
+                 "j+": SL2Element.jplus, "j-": SL2Element.jminus}
         def make(p):
-            if what == "id":
-                return CommutatorFiber(SL2Element.identity(p))
-            if what == "-id":
-                return CommutatorFiber(SL2Element.minus_identity(p))
-            if what == "j+":
-                return CommutatorFiber(SL2Element.jplus(p))
-            if what == "j-":
-                return CommutatorFiber(SL2Element.jminus(p))
+            if what in fixed:
+                return CommutatorFiber(fixed[what](p))
             if what.startswith("xi="):
                 lam = _int(what[3:]) % p
                 if lam in (0, 1, p - 1):
                     return Skip(f"lambda {what[3:]} is 0 or ±1 mod {p}")
-                return CommutatorFiber(SL2Element.diagonal(lam, p))
-            if what == "xi":
+            elif what == "xi":
                 lam = smallest_lambda(p)
                 if lam is None:
                     return Skip("no admissible lambda")
-                return CommutatorFiber(SL2Element.diagonal(lam, p))
-            raise ConfigError(f"unknown commutator-fiber target {what!r}")
+            else:
+                raise ConfigError(f"unknown commutator-fiber target {what!r}")
+            return CommutatorFiber(SL2Element.diagonal(lam, p))
         make(5)  # validate early against a sample prime
         return make
     if low.startswith("zbar"):
@@ -831,7 +695,6 @@ def cmd_count(args) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    cache = config.cache()
     rows = []
     for p in config.primes:
         spec = make(p)
@@ -843,9 +706,6 @@ def cmd_count(args) -> int:
             if args.method == "brute":
                 count = brute_force_count(p, spec)
             else:
-                if cache is not None:
-                    from .counting import commutator_fiber_distribution
-                    commutator_fiber_distribution(p, cache=cache)
                 count = fast_count(p, spec)
         except OracleRangeError as e:
             rows.append({"p": p, "target": args.target, "skipped": str(e)})
@@ -934,11 +794,10 @@ def cmd_hodge(args) -> int:
 def cmd_probe(args) -> int:
     try:
         config = _config_from(args)
-    except ConfigError as e:
+        reports = [monodromy_probe(p).as_dict() for p in config.primes]
+    except ValueError as e:     # ConfigError, or a prime below 5
         print(f"error: {e}", file=sys.stderr)
         return 2
-    reports = [monodromy_probe(p).as_dict()
-               for p in config.primes]
     if args.format == "json":
         _emit(json.dumps({"probe": reports}, indent=2), args.output)
         return 0
@@ -1035,14 +894,7 @@ def _config_from(args) -> RunConfig:
     primes = DEFAULT_PANEL
     if getattr(args, "primes", None):
         primes = tuple(_int(x) for x in args.primes.split(","))
-    return RunConfig(
-        primes=primes,
-        threads=getattr(args, "threads", 1),
-        cache_dir=getattr(args, "cache_dir", None),
-        fmt=args.format,
-        output=getattr(args, "output", None),
-        timings=getattr(args, "timings", False),
-    )
+    return RunConfig(primes=primes, timings=getattr(args, "timings", False))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1059,10 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
         if primes:
             p.add_argument("--primes", help="comma-separated odd primes "
                            f"(default {','.join(map(str, DEFAULT_PANEL))})")
-            p.add_argument("--threads", type=int, default=1,
-                           help="ignored; recorded in the verify report's "
-                                "config until its schema changes")
-            p.add_argument("--cache-dir", help="persist fiber distributions here")
             p.add_argument("--timings", action="store_true",
                            help="emit real wall times (breaks byte determinism)")
 

@@ -34,10 +34,6 @@ constraint on the second.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +42,6 @@ from .sl2 import (CENTRAL_MINUS, CENTRAL_PLUS, NONSPLIT, SPLIT,
                   UNIPOTENT_MINUS, UNIPOTENT_PLUS, ClassLabel, GeometricClass,
                   GroupTable, SL2Element, W0, W1, W2, W3, W4ANY, group_table,
                   inverse_mod, is_square_mod, rational_class_of, w4)
-
-CACHE_FORMAT = "sl2-commutator-fiber-distribution"
-CACHE_VERSION = 1
 
 BRUTE_MAX_PAIR_PRIME = 13    # CommFiber / diagonal-commutator targets
 BRUTE_MAX_TUPLE_PRIME = 7    # barred sets and full tuple sets
@@ -205,16 +198,7 @@ TargetSpec = CommutatorFiber | ZbarCase | ZFull | XStratum | DiagonalCommutatorF
 
 
 # ---------------------------------------------------------------------------
-# count records and the per-prime class distribution
-
-
-@dataclass
-class CountRecord:
-    p: int
-    target: TargetSpec
-    count: int
-    method: str          # "fast" | "brute"
-    ms: float
+# the per-prime class distribution
 
 
 @dataclass
@@ -223,7 +207,6 @@ class ClassDistribution:
     p: int
     fibers: dict[ClassLabel, int]
     orbit_sizes: dict[ClassLabel, int]
-    centralizers: dict[ClassLabel, int]
     representatives: dict[ClassLabel, SL2Element]
 
     def total_pairs(self) -> int:
@@ -271,43 +254,27 @@ def _closed_form_fiber(p: int, label: ClassLabel) -> int:
 _dist_memo: dict[int, ClassDistribution] = {}
 
 
-def commutator_fiber_distribution(p: int, cache: "DistributionCache | None" = None
-                                  ) -> ClassDistribution:
+def commutator_fiber_distribution(p: int) -> ClassDistribution:
     """Fiber count per rational class, memoised per prime.
 
     Fibers come from the character-table closed forms; the totals are
-    checked against |G|^2 pairs over p + 4 classes.  With a
-    DistributionCache the result is persisted and reused across processes;
-    the in-memory memo short-circuits repeated calls either way.
+    checked against |G|^2 pairs over p + 4 classes.
     """
     if p in _dist_memo:
-        dist = _dist_memo[p]
-        if cache is not None and not os.path.exists(cache.path_for(p)):
-            cache.store(dist)
-        return dist
-    if cache is not None:
-        loaded = cache.load(p)
-        if loaded is not None:
-            _dist_memo[p] = loaded
-            return loaded
+        return _dist_memo[p]
     table = group_table(p)
     codes, first_rows = table.realized_codes()
     fibers: dict[ClassLabel, int] = {}
     orbits: dict[ClassLabel, int] = {}
-    cents: dict[ClassLabel, int] = {}
     reps: dict[ClassLabel, SL2Element] = {}
     for code, row in zip(codes.tolist(), first_rows.tolist()):
         label = table.label_of_code(code)
-        cent = table.centralizer_of_code(code)
         fibers[label] = _closed_form_fiber(p, label)
-        orbits[label] = table.n // cent
-        cents[label] = cent
+        orbits[label] = table.n // table.centralizer_of_code(code)
         reps[label] = table.element(row)
-    dist = ClassDistribution(p, fibers, orbits, cents, reps)
+    dist = ClassDistribution(p, fibers, orbits, reps)
     dist.check_consistency()
     _dist_memo[p] = dist
-    if cache is not None:
-        cache.store(dist)
     return dist
 
 
@@ -331,8 +298,10 @@ def count_commutator_fiber(p: int, target: SL2Element) -> int:
     return dist.fibers[rational_class_of(target)]
 
 
-def _membership_mask(table: GroupTable, M: np.ndarray,
-                     spec: GeometricClass) -> np.ndarray:
+def membership_mask(table: GroupTable, M: np.ndarray,
+                    spec: GeometricClass) -> np.ndarray:
+    """Which matrices of M (shape (..., 4)) lie in the geometric class; reads
+    only matrix entries, so the brute-force oracle uses it too."""
     p = table.p
     t = (M[..., 0] + M[..., 3]) % p
     if spec.kind == "W4any":
@@ -358,7 +327,7 @@ def count_zbar(p: int, case: ZbarCase) -> int:
     lut = _fiber_lut(table, dist)
     Tv = np.array(T.entries(), dtype=np.int64)
     C = table.mat_mul(table.inverses, Tv)
-    mask = _membership_mask(table, C, pred)
+    mask = membership_mask(table, C, pred)
     return int(lut[table.codes][mask].sum())
 
 
@@ -370,7 +339,8 @@ def count_z_full(p: int, spec1: GeometricClass, spec2: GeometricClass) -> int:
     if spec2.kind == "W4":
         spec2.lam_mod(p)
     dist = commutator_fiber_distribution(p)
-    members1_inv = table.mat_inv(table.elements[table.geometric_mask(spec1)])
+    members1 = table.elements[membership_mask(table, table.elements, spec1)]
+    members1_inv = table.mat_inv(members1)
     total = 0
     for label, fib in dist.fibers.items():
         if fib == 0:
@@ -378,7 +348,7 @@ def count_z_full(p: int, spec1: GeometricClass, spec2: GeometricClass) -> int:
         rep_inv = np.array(dist.representatives[label].inverse().entries(),
                            dtype=np.int64)
         M = table.mat_mul(members1_inv, rep_inv)
-        npair = int(_membership_mask(table, M, spec2).sum())
+        npair = int(membership_mask(table, M, spec2).sum())
         total += dist.orbit_sizes[label] * fib * npair
     return total
 
@@ -443,18 +413,6 @@ def fast_count(p: int, spec: TargetSpec) -> int:
     if isinstance(spec, DiagonalCommutatorFiber):
         return count_diagonal_commutator_fiber(p, spec.lam, spec.mu, spec.t2, spec.t1)
     raise TypeError(f"unknown target spec {spec!r}")
-
-
-def timed_count(p: int, spec: TargetSpec, method: str = "fast") -> CountRecord:
-    t0 = time.perf_counter()
-    if method == "fast":
-        count = fast_count(p, spec)
-    elif method == "brute":
-        count = brute_force_count(p, spec)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    ms = (time.perf_counter() - t0) * 1000.0
-    return CountRecord(p, spec, count, method, ms)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +507,7 @@ def brute_force_count(p: int, spec: TargetSpec) -> int:
         table = group_table(p)
         mul, inv = _cayley(p)
         t = _row_of(table, spec.target_matrix(p))
-        mask = _membership_mask(table, table.elements, spec.predicate_class(p))
+        mask = membership_mask(table, table.elements, spec.predicate_class(p))
         times_t = mul[:, t]
         # C = [A,B]^{-1} T
         return sum(int(mask[times_t[inv[C]]].sum()) for C in _commutator_blocks(p))
@@ -561,8 +519,8 @@ def brute_force_count(p: int, spec: TargetSpec) -> int:
                 f"p <= {BRUTE_MAX_TUPLE_PRIME}, got {p}")
         table = group_table(p)
         mul, inv = _cayley(p)
-        mask1 = _membership_mask(table, table.elements, spec.spec1)
-        mask2 = _membership_mask(table, table.elements, spec.spec2)
+        mask1 = membership_mask(table, table.elements, spec.spec1)
+        mask2 = membership_mask(table, table.elements, spec.spec2)
         K1inv = inv[mask1]
         # C2 = C1^{-1} [A,B]^{-1} for every (C1, A, B) at once
         return sum(int(mask2[mul[K1inv[:, None, None], inv[C][None]]].sum())
@@ -574,7 +532,7 @@ def brute_force_count(p: int, spec: TargetSpec) -> int:
                 f"oracle out of range: strata are guarded to "
                 f"p <= {BRUTE_MAX_PAIR_PRIME}, got {p}")
         table = group_table(p)
-        mask = _membership_mask(table, table.elements, spec.geometric_union())
+        mask = membership_mask(table, table.elements, spec.geometric_union())
         return sum(int(mask[C].sum()) for C in _commutator_blocks(p))
 
     if isinstance(spec, DiagonalCommutatorFiber):
@@ -685,71 +643,3 @@ def monodromy_probe(p: int) -> MonodromyReport:
         xbar4_quotient_reference_value=blocks.xbar4_quotient.evaluate(p),
         lambda_classes=classes,
     )
-
-
-# ---------------------------------------------------------------------------
-# persistent distribution cache
-
-
-class DistributionCache:
-    """One JSON record per prime, written atomically (temp file + rename)."""
-
-    def __init__(self, directory: str):
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-
-    def path_for(self, p: int) -> str:
-        return os.path.join(self.directory, f"fibdist-p{p}-v{CACHE_VERSION}.json")
-
-    def store(self, dist: ClassDistribution) -> str:
-        payload = {
-            "format": CACHE_FORMAT,
-            "version": CACHE_VERSION,
-            "p": dist.p,
-            "classes": [
-                {"kind": lab.kind,
-                 "detail": lab.detail,
-                 "fiber": dist.fibers[lab],
-                 "orbit": dist.orbit_sizes[lab],
-                 "centralizer": dist.centralizers[lab],
-                 "representative": list(dist.representatives[lab].entries())}
-                for lab in sorted(dist.fibers, key=str)
-            ],
-        }
-        path = self.path_for(dist.p)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, indent=1)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        return path
-
-    def load(self, p: int) -> ClassDistribution | None:
-        path = self.path_for(p)
-        if not os.path.exists(path):
-            return None
-        with open(path) as fh:
-            payload = json.load(fh)
-        if payload.get("format") != CACHE_FORMAT or payload.get("version") != CACHE_VERSION:
-            return None
-        if payload.get("p") != p:
-            return None
-        fibers, orbits, cents, reps = {}, {}, {}, {}
-        for row in payload["classes"]:
-            label = ClassLabel(row["kind"], row["detail"])
-            fibers[label] = row["fiber"]
-            orbits[label] = row["orbit"]
-            cents[label] = row["centralizer"]
-            a, b, c, d = row["representative"]
-            reps[label] = SL2Element(a, b, c, d, p)
-        dist = ClassDistribution(p, fibers, orbits, cents, reps)
-        dist.check_consistency()
-        return dist
-
-
-def clear_memo() -> None:
-    """Drop in-process distribution memoisation (tests use this)."""
-    _dist_memo.clear()

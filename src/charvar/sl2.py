@@ -69,58 +69,6 @@ def is_square_mod(a: int, p: int) -> bool:
     return a == 0 or pow(a, (p - 1) // 2, p) == 1
 
 
-class FieldElement:
-    """Residue in F_p, p an odd prime."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int):
-        if not is_odd_prime(modulus):
-            raise ValueError(f"modulus {modulus} is not an odd prime")
-        self.modulus = modulus
-        self.value = int(value) % modulus
-
-    def _lift(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli")
-            return other
-        return FieldElement(other, self.modulus)
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return FieldElement(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.modulus)
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        return FieldElement(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(inverse_mod(self.value, self.modulus), self.modulus)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return (isinstance(other, FieldElement)
-                and self.modulus == other.modulus and self.value == other.value)
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __repr__(self):
-        return f"FieldElement({self.value} mod {self.modulus})"
-
-
 class SL2Element:
     """Determinant-1 2x2 matrix over F_p, entries stored as reduced ints."""
 
@@ -424,12 +372,6 @@ class GroupTable:
         sq[(np.arange(1, p, dtype=np.int64) ** 2) % p] = True
         self.square_table = sq  # nonzero squares mod p
         self.codes = self.label_codes(self.elements)
-        cent = np.empty(self.n, dtype=np.int64)
-        cent[self.codes <= 1] = self.n
-        cent[(self.codes >= 2) & (self.codes <= 5)] = 2 * p
-        cent[(self.codes >= 6) & (self.codes < 6 + p)] = p - 1
-        cent[self.codes >= 6 + p] = p + 1
-        self.centralizers = cent
         self._realized: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- raw matrix ops on (*, 4) arrays ------------------------------------
@@ -498,21 +440,6 @@ class GroupTable:
         if self._realized is None:
             self._realized = np.unique(self.codes, return_index=True)
         return self._realized
-
-    def geometric_mask(self, spec: GeometricClass) -> np.ndarray:
-        p = self.p
-        E = self.elements
-        t = (E[:, 0] + E[:, 3]) % p
-        if spec.kind == "W4any":
-            return (t != 2) & (t != p - 2)
-        if spec.kind in ("W0", "W1"):
-            target = spec.representative(p).entries()
-            return (E == np.array(target, dtype=np.int64)).all(axis=1)
-        central = (E[:, 1] == 0) & (E[:, 2] == 0) & (E[:, 0] == E[:, 3])
-        tm = spec.trace_mod(p)
-        if spec.kind in ("W2", "W3"):
-            return (t == tm) & ~central
-        return t == tm
 
 
 @lru_cache(maxsize=None)

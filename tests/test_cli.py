@@ -1,11 +1,17 @@
+import hashlib
 import json
 
 import pytest
 
-from charvar.cli import (RunConfig, ConfigError, main, parse_class,
+from charvar.cli import (RunConfig, ConfigError, Skip, main, parse_class,
                          parse_target, run_verification, smallest_lambda,
-                         generic_pair)
-from charvar.counting import ZFull, ZbarCase
+                         generic_pair, verification_plan)
+from charvar.counting import ZFull, ZbarCase, brute_force_count, fast_count
+from charvar.sl2 import GeometricClass
+
+# sha256 of json.dumps(run_verification("all", RunConfig()), indent=2); the
+# same value is pinned in perfbench/expected.json
+VERIFY_ALL_SHA256 = "9f9a335640731f1a23ae43f71db6f173af3f437e14553b17f53edc24e91d29fb"
 
 
 def run_cli(capsys, *argv):
@@ -23,8 +29,8 @@ def test_config_validation():
         RunConfig(primes=(5, 9))
     with pytest.raises(ConfigError):
         RunConfig(primes=(5, 5, 7))
-    with pytest.raises(ConfigError):
-        RunConfig(threads=0)
+    with pytest.raises(ConfigError, match="103 exceeds the enumeration bound 101"):
+        RunConfig(primes=(5, 103))
     assert RunConfig(primes=(11, 5, 7)).primes == (5, 7, 11)
 
 
@@ -166,6 +172,9 @@ def test_cmd_count_bad_primes(capsys):
     code, _, err = run_cli(capsys, "count", "zbar22", "--primes", "5,x")
     assert code == 2
     assert "error: 'x' is not an integer" in err
+    code, out, err = run_cli(capsys, "count", "zbar24=2", "--primes", "103")
+    assert code == 2 and out == ""
+    assert "error: 103 exceeds the enumeration bound 101" in err
 
 
 def test_cmd_count_unknown_stratum(capsys):
@@ -229,6 +238,13 @@ def test_cmd_probe(capsys):
     assert "128" in out and "316" in out
 
 
+def test_cmd_probe_below_5(capsys):
+    code, out, err = run_cli(capsys, "probe", "--primes", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: probe needs p >= 5\n"
+
+
 def test_cmd_verify_insufficient_panel(capsys):
     code, _, err = run_cli(capsys, "verify", "blocks", "--primes", "5,7,11")
     assert code == 2
@@ -239,6 +255,8 @@ def test_cmd_verify_blocks_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "blocks", "--format", "json")
     assert code == 0
     report = json.loads(out)
+    assert report["config"]["threads"] == 1
+    assert report["config"]["cache_dir"] is None
     assert set(report) == {"schema", "config", "targets", "identities",
                            "probe", "summary"}
     verdicts = {t["id"]: t["verdict"] for t in report["targets"]}
@@ -265,10 +283,11 @@ def test_cmd_verify_is_byte_deterministic(capsys):
 
 def test_cmd_verify_all_scope_deterministic_and_green(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "all", "--format", "json")
-    code2, out2, _ = run_cli(capsys, "verify", "all", "--format", "json")
-    assert code1 == code2 == 0
-    assert out1 == out2
-    report = json.loads(out1)
+    report = run_verification("all", RunConfig())
+    text = json.dumps(report, indent=2)
+    assert code1 == report["summary"]["exit_code"] == 0
+    assert out1 == text + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL_SHA256
     assert report["summary"]["identity_failures"] == []
     scopes = {t["id"] for t in report["targets"]}
     assert {"X0", "Zbar22", "Z23"} <= scopes
@@ -282,6 +301,16 @@ def test_cmd_verify_panel_overlapping_extension_primes(capsys):
     for t in json.loads(out)["targets"]:
         primes = [r["p"] for r in t["records"] + t.get("extension_records", [])]
         assert len(primes) == len(set(primes)), t["id"]
+
+
+def test_cmd_verify_zbar_skips_primes_below_5(capsys):
+    code, out, _ = run_cli(capsys, "verify", "zbar", "--format", "json",
+                           "--primes", "3,5,7,11,13,17,19")
+    assert code == 0
+    targets = json.loads(out)["targets"]
+    for t in targets:
+        assert t["records"][0]["p"] == 3 and t["records"][0]["count"] is None
+    assert targets[0]["records"][0]["skipped"] == "barred-set counts need p >= 5"
 
 
 def test_cmd_verify_csv(capsys):
@@ -303,12 +332,22 @@ def test_cmd_verify_writes_output_file(tmp_path, capsys):
     assert report["schema"].startswith("charvar-verification-report")
 
 
-def test_run_verification_cache_dir(tmp_path):
-    config = RunConfig(fmt="json", cache_dir=str(tmp_path))
-    report = run_verification("blocks", config)
-    assert report["summary"]["exit_code"] == 0
-    cached = list(tmp_path.glob("fibdist-p*.json"))
-    assert len(cached) == len(config.primes)
+def test_plan_specs_agree_with_the_oracle():
+    # each row's one spec, counted by both routes.  The class-size rows
+    # count a class mask and have no oracle route; Zbar44[generic-same]
+    # first has a pair at p = 11, above the oracle's tuple guard.
+    plans = verification_plan("all")
+    counted = set()
+    for p in (5, 7):
+        for plan in plans:
+            spec = plan.spec(p)
+            if isinstance(spec, (Skip, GeometricClass)):
+                continue
+            assert fast_count(p, spec) == brute_force_count(p, spec), (plan.id, p)
+            counted.add(plan.id)
+    assert len(plans) == 38
+    assert counted == {plan.id for plan in plans} - {
+        "W2-size", "W4lam-size", "Zbar44[generic-same]"}
 
 
 def test_cmd_usage_error_exit_code(capsys):

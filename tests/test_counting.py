@@ -12,13 +12,13 @@ import pytest
 
 import charvar.counting as counting
 from charvar.counting import (CommutatorFiber, DiagonalCommutatorFiber,
-                              DistributionCache, OracleRangeError, XStratum,
-                              ZFull, ZbarCase, brute_commutator_tally,
-                              brute_force_count, commutator_fiber_distribution,
+                              OracleRangeError, XStratum, ZFull, ZbarCase,
+                              brute_commutator_tally, brute_force_count,
+                              commutator_fiber_distribution,
                               count_commutator_fiber,
                               count_diagonal_commutator_fiber, count_x_stratum,
                               count_z_full, count_zbar, fast_count,
-                              monodromy_probe)
+                              membership_mask, monodromy_probe)
 from charvar.sl2 import (NONSPLIT, SL2Element, W0, W1, W2, W3, W4ANY,
                          commutator, enumerate_sl2, group_table, inverse_mod,
                          rational_class_of, w4)
@@ -33,7 +33,9 @@ def vector_fiber(table, g) -> int:
     """
     M = table.mat_mul(table.inverses, np.array(g, dtype=np.int64))
     hit = table.label_codes(M) == table.label_codes(table.inverses)
-    return int(table.centralizers[hit].sum())
+    cent = np.array([table.centralizer_of_code(c)
+                     for c in range(6 + 2 * table.p)])
+    return int(cent[table.codes[hit]].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +209,15 @@ def test_zbar_validation():
 # full tuple sets
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_membership_mask_matches_scalar_contains(p):
+    # the one vectorised class predicate, used by both counting routes
+    table = group_table(p)
+    for spec in (W0, W1, W2, W3, w4(2), w4(3), W4ANY):
+        mask = membership_mask(table, table.elements, spec)
+        assert mask.tolist() == [spec.contains(m) for m in enumerate_sl2(p)], spec
+
+
 def test_zfull_w2w3_frozen_and_oracle_at_5():
     fast = count_z_full(5, W2, W3)
     assert fast == 62400
@@ -360,7 +371,7 @@ def test_monodromy_probe_always_reports():
 
 
 # ---------------------------------------------------------------------------
-# oracle guards, cache
+# oracle guards
 
 
 def test_oracle_range_guards():
@@ -370,49 +381,6 @@ def test_oracle_range_guards():
         brute_force_count(11, ZbarCase("zbar22"))
     with pytest.raises(OracleRangeError, match="oracle out of range"):
         brute_force_count(11, ZFull(W2, W3))
-
-
-def test_distribution_cache_round_trip(tmp_path):
-    import charvar.counting as counting
-    cache = DistributionCache(str(tmp_path))
-    dist = commutator_fiber_distribution(5)
-    path = cache.store(dist)
-    assert path.endswith(".json")
-    loaded = cache.load(5)
-    assert loaded is not None
-    assert loaded.fibers == dist.fibers
-    assert loaded.orbit_sizes == dist.orbit_sizes
-    assert loaded.representatives == dist.representatives
-    # a fresh memo actually uses the cache
-    counting.clear_memo()
-    again = commutator_fiber_distribution(5, cache=cache)
-    assert again.fibers == dist.fibers
-
-
-def test_distribution_cache_rejects_foreign_files(tmp_path):
-    cache = DistributionCache(str(tmp_path))
-    assert cache.load(5) is None
-    bad = tmp_path / "fibdist-p5-v1.json"
-    bad.write_text('{"format": "something-else", "version": 1, "p": 5}')
-    assert cache.load(5) is None
-
-
-def test_cache_write_is_atomic(tmp_path):
-    cache = DistributionCache(str(tmp_path))
-    cache.store(commutator_fiber_distribution(5))
-    leftovers = [f for f in tmp_path.iterdir() if f.suffix == ".tmp"]
-    assert leftovers == []
-
-
-def test_timed_count_records():
-    from charvar.counting import timed_count
-    rec = timed_count(5, ZbarCase("zbar22"), method="fast")
-    assert (rec.p, rec.count, rec.method) == (5, 3840, "fast")
-    assert rec.ms >= 0.0
-    brute = timed_count(5, ZbarCase("zbar22"), method="brute")
-    assert brute.count == rec.count and brute.method == "brute"
-    with pytest.raises(ValueError):
-        timed_count(5, ZbarCase("zbar22"), method="magic")
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +428,7 @@ def test_tally_matches_pure_python_enumeration(p):
 class _NoClassData:
     """A group table that refuses every read of per-element class data."""
 
-    HIDDEN = ("codes", "centralizers", "label_codes", "realized_codes",
+    HIDDEN = ("codes", "label_codes", "realized_codes",
               "label_of_code", "centralizer_of_code")
 
     def __init__(self, table):
