@@ -882,10 +882,13 @@ def _report_text(report: dict) -> str:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as e:
+            raise ConfigError(f"cannot write {output}: {e.strerror}") from None
     else:
         print(text)
 

@@ -4,11 +4,23 @@ Two independent routes exist for every target and their agreement is a
 test-suite contract:
 
 * the fast path reduces everything to the commutator-fiber class function
-  #{(A,B): [A,B] = g}, read in closed form from the SL(2,F_p) character
-  table (see commutator_fiber_distribution), and then evaluates trace
-  predicates on forced third factors: in every barred set the C
-  coordinate is determined, C = [A,B]^{-1} T, so the count is a sum of
-  fiber values against a membership mask;
+  fiber(g) = #{(A,B): [A,B] = g}, read in closed form from the SL(2,F_p)
+  character table (see commutator_fiber_distribution).  Barred and full
+  sets then share one kernel, _fiber_sum(p, S, [(n, T), ...]) =
+  sum n * sum_{C in S} fiber(T C), one vectorised pass over the members
+  of the geometric class S per T:
+  - barred sets: C = [A,B]^{-1} T forces [A,B] = T C^{-1}, and every
+    geometric class is closed under inversion (trace and ±Id are
+    preserved), so the count is _fiber_sum(p, S, [(1, T)]);
+  - full sets: [A,B] = (C1 C2)^{-1} and fiber(g^{-1}) = fiber(g) because
+    [A,B]^{-1} = [B,A], so Z(S1, S2) = sum fiber(C1 C2) over S1 x S2.  The
+    sum over C2 is constant on GL(2,F_p)-orbits of C1 (fiber and S2 are
+    both conjugation invariant), and W0..W3 and W4(lam) are one orbit
+    each, so C1 is the class representative weighted by the class size.
+    W4any is not one orbit, but it is G minus W0..W3, and fiber(C1 C2)
+    summed over every C1 in G is |G|^2; Z is symmetric, so W4any is moved
+    to the first slot and Z(W4any, S) = |S| |G|^2 - sum_k Z(Wk, S).  Its
+    p^3 members then never go through a pass unless both classes are W4any;
 * the brute-force oracle enumerates pairs (A,B) directly with no class
   theory at all, guarded to small primes.  It works on row indices of the
   group table: a per-prime multiplication table (_cayley) turns every
@@ -203,11 +215,11 @@ TargetSpec = CommutatorFiber | ZbarCase | ZFull | XStratum | DiagonalCommutatorF
 
 @dataclass
 class ClassDistribution:
-    """Per-representative commutator fiber counts for every rational class."""
+    """Per-element commutator fiber count and counted size of every rational
+    class."""
     p: int
     fibers: dict[ClassLabel, int]
     orbit_sizes: dict[ClassLabel, int]
-    representatives: dict[ClassLabel, SL2Element]
 
     def total_pairs(self) -> int:
         return sum(self.orbit_sizes[k] * self.fibers[k] for k in self.fibers)
@@ -257,34 +269,24 @@ _dist_memo: dict[int, ClassDistribution] = {}
 def commutator_fiber_distribution(p: int) -> ClassDistribution:
     """Fiber count per rational class, memoised per prime.
 
-    Fibers come from the character-table closed forms; the totals are
-    checked against |G|^2 pairs over p + 4 classes.
+    Fibers come from the character-table closed forms and class sizes are
+    counted over the group table, so the totals check the closed forms
+    against |G|^2 pairs over p + 4 realised classes.
     """
     if p in _dist_memo:
         return _dist_memo[p]
     table = group_table(p)
-    codes, first_rows = table.realized_codes()
+    sizes = np.bincount(table.codes, minlength=6 + 2 * p)
     fibers: dict[ClassLabel, int] = {}
     orbits: dict[ClassLabel, int] = {}
-    reps: dict[ClassLabel, SL2Element] = {}
-    for code, row in zip(codes.tolist(), first_rows.tolist()):
+    for code in np.flatnonzero(sizes).tolist():
         label = table.label_of_code(code)
         fibers[label] = _closed_form_fiber(p, label)
-        orbits[label] = table.n // table.centralizer_of_code(code)
-        reps[label] = table.element(row)
-    dist = ClassDistribution(p, fibers, orbits, reps)
+        orbits[label] = int(sizes[code])
+    dist = ClassDistribution(p, fibers, orbits)
     dist.check_consistency()
     _dist_memo[p] = dist
     return dist
-
-
-def _fiber_lut(table: GroupTable, dist: ClassDistribution) -> np.ndarray:
-    """code -> per-element fiber count, dense over the code range."""
-    lut = np.zeros(6 + 2 * table.p, dtype=np.int64)
-    codes, _ = table.realized_codes()
-    for code in codes.tolist():
-        lut[code] = dist.fibers[table.label_of_code(code)]
-    return lut
 
 
 # ---------------------------------------------------------------------------
@@ -316,41 +318,43 @@ def membership_mask(table: GroupTable, M: np.ndarray,
     return t == tm
 
 
-def count_zbar(p: int, case: ZbarCase) -> int:
-    """Sum of fiber(eta) over eta with eta^{-1} T in the constraining class."""
-    if p < 5:
-        raise ValueError("barred-set counts need p >= 5")
-    T = case.target_matrix(p)
-    pred = case.predicate_class(p)
+def _fiber_sum(p: int, spec: GeometricClass,
+               weighted: list[tuple[int, SL2Element]]) -> int:
+    """sum over (n, T) of n * sum over C in spec of fiber(T C)."""
     table = group_table(p)
     dist = commutator_fiber_distribution(p)
-    lut = _fiber_lut(table, dist)
-    Tv = np.array(T.entries(), dtype=np.int64)
-    C = table.mat_mul(table.inverses, Tv)
-    mask = membership_mask(table, C, pred)
-    return int(lut[table.codes][mask].sum())
+    lut = np.array([dist.fibers.get(table.label_of_code(code), 0)
+                    for code in range(6 + 2 * p)], dtype=np.int64)
+    members = table.elements[membership_mask(table, table.elements, spec)]
+    total = 0
+    for n, T in weighted:
+        TC = table.mat_mul(np.array(T.entries(), dtype=np.int64), members)
+        total += n * int(lut[table.label_codes(TC)].sum())
+    return total
+
+
+def count_zbar(p: int, case: ZbarCase) -> int:
+    """Sum of fiber(T C^{-1}) over C in the constraining class, which is
+    closed under inversion (trace and ±Id are preserved): C replaces C^{-1}."""
+    if p < 5:
+        raise ValueError("barred-set counts need p >= 5")
+    return _fiber_sum(p, case.predicate_class(p), [(1, case.target_matrix(p))])
 
 
 def count_z_full(p: int, spec1: GeometricClass, spec2: GeometricClass) -> int:
-    """Class-by-class: sum |K| fiber(rep_K) #{C1 in class1: C1^{-1} rep_K^{-1} in class2}."""
-    table = group_table(p)
-    if spec1.kind == "W4":
-        spec1.lam_mod(p)
-    if spec2.kind == "W4":
-        spec2.lam_mod(p)
-    dist = commutator_fiber_distribution(p)
-    members1 = table.elements[membership_mask(table, table.elements, spec1)]
-    members1_inv = table.mat_inv(members1)
-    total = 0
-    for label, fib in dist.fibers.items():
-        if fib == 0:
-            continue
-        rep_inv = np.array(dist.representatives[label].inverse().entries(),
-                           dtype=np.int64)
-        M = table.mat_mul(members1_inv, rep_inv)
-        npair = int(membership_mask(table, M, spec2).sum())
-        total += dist.orbit_sizes[label] * fib * npair
-    return total
+    """Sum of fiber((C1 C2)^{-1}) = fiber(C1 C2) over the two classes.
+
+    Every class but W4any is one GL(2,F_p)-orbit, so C1 is its representative
+    weighted by its size.  Z is symmetric, so W4any goes first, and there it
+    is G minus W0..W3: fiber(C1 C2) summed over all C1 in G is |G|^2.
+    """
+    if spec2.kind == "W4any":
+        spec1, spec2 = spec2, spec1
+    if spec1.kind != "W4any":
+        return _fiber_sum(p, spec2, [(spec1.size(p), spec1.representative(p))])
+    n = p ** 3 - p
+    rest = [(w.size(p), w.representative(p)) for w in (W0, W1, W2, W3)]
+    return spec2.size(p) * n * n - _fiber_sum(p, spec2, rest)
 
 
 def count_x_stratum(p: int, name: str) -> int:
@@ -453,7 +457,7 @@ def _cayley(p: int) -> tuple[np.ndarray, np.ndarray]:
             raise ArithmeticError(f"a product missed the group table at p={p}")
         return r
 
-    inv = rows(table.inverses)
+    inv = rows(table.mat_inv(table.elements))
     mul = np.empty((n, n), dtype=np.int32)
     step = max(1, _CELLS // n)
     for a in range(0, n, step):

@@ -42,10 +42,6 @@ class EPolynomial:
     def variable(cls) -> "EPolynomial":
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "EPolynomial":
-        return cls((0,) * degree + (coeff,))
-
     def degree(self) -> int:
         """Degree, with the zero polynomial assigned -1."""
         return len(self.coeffs) - 1

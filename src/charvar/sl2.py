@@ -323,15 +323,6 @@ def geometric_members(p: int, spec: GeometricClass,
     return [m for m in enumerate_sl2(p, max_prime) if spec.contains(m)]
 
 
-def admissible_lambdas(p: int) -> list[int]:
-    """lam in F_p with lam not in {0, ±1}, one per inverse pair."""
-    out = []
-    for lam in range(2, p - 1):
-        if inverse_mod(lam, p) >= lam:
-            out.append(lam)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # vectorized per-prime tables
 
@@ -367,12 +358,10 @@ class GroupTable:
         self.p = p
         self.elements = _sl2_rows(p)
         self.n = len(self.elements)
-        self.inverses = self.mat_inv(self.elements)
         sq = np.zeros(p, dtype=bool)
         sq[(np.arange(1, p, dtype=np.int64) ** 2) % p] = True
         self.square_table = sq  # nonzero squares mod p
         self.codes = self.label_codes(self.elements)
-        self._realized: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- raw matrix ops on (*, 4) arrays ------------------------------------
 
@@ -421,25 +410,9 @@ class GroupTable:
             return ClassLabel(SPLIT, code - 6)
         return ClassLabel(NONSPLIT, code - 6 - p)
 
-    def centralizer_of_code(self, code: int) -> int:
-        p = self.p
-        if code <= 1:
-            return self.n
-        if code <= 5:
-            return 2 * p
-        return p - 1 if code < 6 + p else p + 1
-
     def element(self, row: int) -> SL2Element:
         a, b, c, d = self.elements[row].tolist()
         return SL2Element(a, b, c, d, self.p)
-
-    def realized_codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(codes, first-row indices), sorted by code; length p + 4.
-
-        Computed once per table: the sort costs about 75 ms at p = 89."""
-        if self._realized is None:
-            self._realized = np.unique(self.codes, return_index=True)
-        return self._realized
 
 
 @lru_cache(maxsize=None)

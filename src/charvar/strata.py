@@ -130,11 +130,6 @@ class CaseResult:
     has_reducibles: bool
     fibration_factor: EPolynomial
 
-    @property
-    def z_total(self) -> EPolynomial:
-        """E-polynomial of the unbarred solution set (barred x fibration)."""
-        return self.fibration_factor * self.zbar
-
 
 def derive_case(case: str) -> CaseResult:
     """Replay one stratum-sum derivation down to the moduli polynomial."""

@@ -24,7 +24,8 @@ from charvar.hodge import (brute_force_tables, compact_betti_from_poincare,
                            default_instance, enumerate_tables, forced_entries)
 from charvar.interpolate import (EXACT, INCONSISTENT, consistency_check,
                                  lagrange_fit)
-from charvar.sl2 import (SL2Element, W0, W1, W2, W3, W4ANY, w4)
+from charvar.sl2 import (SL2Element, W0, W1, W2, W3, W4ANY,
+                         enumerate_sl2, rational_class_of, w4)
 from charvar.strata import CASE_IDS, derive_case, stated_results, \
     stated_zbar_totals
 
@@ -125,13 +126,13 @@ def test_criterion_2_building_block_verification():
 
 def test_criterion_3_oracle_equivalence():
     with criterion(3, "oracle equivalence"):
-        # commutator fibers: every rational class at p = 3, 5, 7
+        # commutator fibers: every element at p = 3, 5, 7
         for p in (3, 5, 7):
             tally = brute_commutator_tally(p)
             dist = commutator_fiber_distribution(p)
-            for label, rep in dist.representatives.items():
-                assert dist.fibers[label] == tally.get(rep.entries(), 0), \
-                    (p, label)
+            for m in enumerate_sl2(p):
+                assert dist.fibers[rational_class_of(m)] == \
+                    tally.get(m.entries(), 0), (p, m)
 
         # spot values, each confirmed by the oracle
         spots = [

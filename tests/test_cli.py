@@ -332,6 +332,15 @@ def test_cmd_verify_writes_output_file(tmp_path, capsys):
     assert report["schema"].startswith("charvar-verification-report")
 
 
+def test_cmd_output_to_unwritable_path(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "blocks", "--output", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1
+
+
 def test_plan_specs_agree_with_the_oracle():
     # each row's one spec, counted by both routes.  The class-size rows
     # count a class mask and have no oracle route; Zbar44[generic-same]

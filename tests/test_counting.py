@@ -31,11 +31,18 @@ def vector_fiber(table, g) -> int:
     conjugate to A^{-1} the B's form one coset of C(A^{-1}) = C(A).  No
     character theory is used: a second route to the closed forms.
     """
-    M = table.mat_mul(table.inverses, np.array(g, dtype=np.int64))
-    hit = table.label_codes(M) == table.label_codes(table.inverses)
-    cent = np.array([table.centralizer_of_code(c)
-                     for c in range(6 + 2 * table.p)])
-    return int(cent[table.codes[hit]].sum())
+    inverses = table.mat_inv(table.elements)
+    M = table.mat_mul(inverses, np.array(g, dtype=np.int64))
+    hit = table.label_codes(M) == table.label_codes(inverses)
+    class_size = np.bincount(table.codes)
+    return int((table.n // class_size[table.codes[hit]]).sum())
+
+
+def class_rows(table):
+    """(label, entries) of the first table row of each realised class."""
+    codes, rows = np.unique(table.codes, return_index=True)
+    return [(table.label_of_code(code), tuple(table.elements[row].tolist()))
+            for code, row in zip(codes.tolist(), rows.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +61,8 @@ def test_distribution_consistency(p):
 def test_closed_form_fibers_match_vector_identity(p):
     table = group_table(p)
     dist = commutator_fiber_distribution(p)
-    for label, rep in dist.representatives.items():
-        assert dist.fibers[label] == vector_fiber(table, rep.entries()), label
+    for label, g in class_rows(table):
+        assert dist.fibers[label] == vector_fiber(table, g), label
 
 
 def test_distribution_frozen_values_at_5():
@@ -79,8 +86,8 @@ def test_distribution_frozen_values_at_5():
 def test_fiber_oracle_equivalence_all_classes(p):
     tally = brute_commutator_tally(p)
     dist = commutator_fiber_distribution(p)
-    for label, rep in dist.representatives.items():
-        assert dist.fibers[label] == tally.get(rep.entries(), 0), label
+    for label, g in class_rows(group_table(p)):
+        assert dist.fibers[label] == tally.get(g, 0), label
 
 
 def test_fiber_oracle_equivalence_at_11():
@@ -223,6 +230,14 @@ def test_zfull_w2w3_frozen_and_oracle_at_5():
     assert fast == 62400
     assert brute_force_count(5, ZFull(W2, W3)) == 62400
     assert fast == (5 * 5 - 1) * count_zbar(5, ZbarCase("zbar23"))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_zfull_w4any_against_oracle(p):
+    # W4any is counted as G minus W0..W3, whichever slot it is given in
+    for s in (W0, W1, W2, W3, w4(2), W4ANY):
+        assert count_z_full(p, s, W4ANY) == count_z_full(p, W4ANY, s) == \
+            brute_force_count(p, ZFull(s, W4ANY)), s
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -428,8 +443,7 @@ def test_tally_matches_pure_python_enumeration(p):
 class _NoClassData:
     """A group table that refuses every read of per-element class data."""
 
-    HIDDEN = ("codes", "label_codes", "realized_codes",
-              "label_of_code", "centralizer_of_code")
+    HIDDEN = ("codes", "label_codes", "label_of_code")
 
     def __init__(self, table):
         self._table = table
@@ -446,8 +460,8 @@ def test_oracle_uses_no_class_theory(monkeypatch):
              ZFull(W2, w4(2)), XStratum("X3"), DiagonalCommutatorFiber(2, 3, 0)]
     expected = [fast_count(p, spec) for spec in specs]
     dist = commutator_fiber_distribution(p)
-    tally_expected = {rep.entries(): dist.fibers[label]
-                      for label, rep in dist.representatives.items()}
+    tally_expected = {g: dist.fibers[label]
+                      for label, g in class_rows(group_table(p))}
 
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle used the class distribution")

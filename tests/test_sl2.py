@@ -6,10 +6,10 @@ import pytest
 from charvar.sl2 import (CENTRAL_MINUS, CENTRAL_PLUS, NONSPLIT, NONSQUARE,
                          SPLIT, SQUARE, UNIPOTENT_PLUS,
                          GeometricClass, SL2Element,
-                         admissible_lambdas, centralizer_order, commutator,
-                         enumerate_sl2, geometric_members, group_table,
-                         inverse_mod, orbit_size, rational_class_of, w4, W0,
-                         W1, W2, W3, W4ANY)
+                         centralizer_order, commutator, enumerate_sl2,
+                         geometric_members, group_table, inverse_mod,
+                         orbit_size, rational_class_of, w4, W0, W1, W2, W3,
+                         W4ANY)
 
 
 def all_elements(p):
@@ -239,6 +239,9 @@ def test_geometric_cardinalities(p):
     assert len(geometric_members(p, W3)) == p * p - 1
     assert len(geometric_members(p, w4(2))) == p * p + p
     assert len(geometric_members(p, W4ANY)) == p ** 3 - 2 * p ** 2 - p
+    # size() weights the full-set counts, so it must match the enumeration
+    for spec in (W0, W1, W2, W3, w4(2), W4ANY):
+        assert spec.size(p) == len(geometric_members(p, spec)), spec
 
 
 def test_w4_rejects_degenerate_lambda():
@@ -278,12 +281,6 @@ def test_w4_members_form_one_split_label(p):
     assert labels == {(SPLIT, t)}
 
 
-def test_admissible_lambdas():
-    assert admissible_lambdas(5) == [2]          # {2, 3} is one inverse pair
-    assert set(admissible_lambdas(7)) == {2, 3}  # pairs {2,4} and {3,5}
-    assert admissible_lambdas(3) == []
-
-
 # ---------------------------------------------------------------------------
 # vectorized tables agree with the scalar path
 
@@ -300,14 +297,6 @@ def test_group_table_label_codes_agree_with_scalar_labels(p):
 def test_group_table_rows_follow_enumeration_order(p):
     rows = [m.entries() for m in enumerate_sl2(p)]
     assert group_table(p).elements.tolist() == [list(r) for r in rows]
-
-
-def test_group_table_centralizers(p=5):
-    table = group_table(p)
-    for row in (0, 10, 50, 100):
-        m = table.element(row)
-        code = int(table.codes[row])
-        assert table.centralizer_of_code(code) == centralizer_order(m)
 
 
 def test_nonsplit_labels_exist():
