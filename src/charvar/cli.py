@@ -20,15 +20,15 @@ from .counting import (CommutatorFiber, DiagonalCommutatorFiber,
                        OracleRangeError, TargetSpec, XStratum, ZFull, ZbarCase,
                        brute_force_count, count_commutator_fiber,
                        count_x_stratum, count_z_full, count_zbar, fast_count,
-                       membership_mask, monodromy_probe)
+                       monodromy_probe)
 from .epoly import EPolynomial
 from .hodge import (compact_betti_from_poincare, default_instance,
                     enumerate_tables, forced_entries)
 from .interpolate import (EXACT, QUASI, FitError, compare, consistency_check,
                           lagrange_fit)
 from .sl2 import (MAX_ENUM_PRIME, GeometricClass, SL2Element, W0, W1, W2, W3,
-                  W4ANY, group_table, inverse_mod, is_odd_prime, is_square_mod,
-                  w4)
+                  W4ANY, class_members, inverse_mod, is_odd_prime,
+                  is_square_mod, w4)
 from .strata import (CASE_IDS, building_blocks, derive_case,
                      stated_results, stated_zbar_totals,
                      z_reduction_references)
@@ -155,8 +155,7 @@ class TargetPlan:
         if isinstance(spec, Skip):
             return spec
         if isinstance(spec, GeometricClass):
-            table = group_table(p)
-            return int(membership_mask(table, table.elements, spec).sum())
+            return len(class_members(p, spec))
         return fast_count(p, spec)
 
 

@@ -5,10 +5,12 @@ test-suite contract:
 
 * the fast path reduces everything to the commutator-fiber class function
   fiber(g) = #{(A,B): [A,B] = g}, read in closed form from the SL(2,F_p)
-  character table (see commutator_fiber_distribution).  Barred and full
-  sets then share one kernel, _fiber_sum(p, S, [(n, T), ...]) =
-  sum n * sum_{C in S} fiber(T C), one vectorised pass over the members
-  of the geometric class S per T:
+  character table, with the class sizes in closed form as well (see
+  commutator_fiber_distribution).  It never builds the p^3-row group
+  table.  Barred and full sets share one kernel,
+  _fiber_sum(p, S, [(n, T), ...]) = sum n * sum_{C in S} fiber(T C), one
+  vectorised pass per T over the O(p^2) members of the geometric class S
+  that sl2.class_members generates trace by trace:
   - barred sets: C = [A,B]^{-1} T forces [A,B] = T C^{-1}, and every
     geometric class is closed under inversion (trace and ±Id are
     preserved), so the count is _fiber_sum(p, S, [(1, T)]);
@@ -52,8 +54,9 @@ import numpy as np
 
 from .sl2 import (CENTRAL_MINUS, CENTRAL_PLUS, NONSPLIT, SPLIT,
                   UNIPOTENT_MINUS, UNIPOTENT_PLUS, ClassLabel, GeometricClass,
-                  GroupTable, SL2Element, W0, W1, W2, W3, W4ANY, group_table,
-                  inverse_mod, is_square_mod, rational_class_of, w4)
+                  GroupTable, SL2Element, W0, W1, W2, W3, W4ANY, check_prime,
+                  class_members, group_table, inverse_mod, is_square_mod,
+                  label_codes, label_of_code, mat_mul, rational_class_of, w4)
 
 BRUTE_MAX_PAIR_PRIME = 13    # CommFiber / diagonal-commutator targets
 BRUTE_MAX_TUPLE_PRIME = 7    # barred sets and full tuple sets
@@ -215,8 +218,7 @@ TargetSpec = CommutatorFiber | ZbarCase | ZFull | XStratum | DiagonalCommutatorF
 
 @dataclass
 class ClassDistribution:
-    """Per-element commutator fiber count and counted size of every rational
-    class."""
+    """Per-element commutator fiber count and size of every rational class."""
     p: int
     fibers: dict[ClassLabel, int]
     orbit_sizes: dict[ClassLabel, int]
@@ -267,23 +269,27 @@ _dist_memo: dict[int, ClassDistribution] = {}
 
 
 def commutator_fiber_distribution(p: int) -> ClassDistribution:
-    """Fiber count per rational class, memoised per prime.
+    """Fiber count and size per rational class, memoised per prime; no group
+    table is built.
 
-    Fibers come from the character-table closed forms and class sizes are
-    counted over the group table, so the totals check the closed forms
-    against |G|^2 pairs over p + 4 realised classes.
+    The classes are ±Id, the four unipotent square classes and one class
+    per trace t != ±2, split when t^2 - 4 is a square.  Fibers and sizes
+    both come in closed form, in code order, and the totals check the
+    fibers against |G|^2 pairs over p + 4 classes.
     """
     if p in _dist_memo:
         return _dist_memo[p]
-    table = group_table(p)
-    sizes = np.bincount(table.codes, minlength=6 + 2 * p)
-    fibers: dict[ClassLabel, int] = {}
-    orbits: dict[ClassLabel, int] = {}
-    for code in np.flatnonzero(sizes).tolist():
-        label = table.label_of_code(code)
-        fibers[label] = _closed_form_fiber(p, label)
-        orbits[label] = int(sizes[code])
-    dist = ClassDistribution(p, fibers, orbits)
+    check_prime(p)
+    regular = [6 + t if is_square_mod(t * t - 4, p) else 6 + p + t
+               for t in range(p) if t not in (2, p - 2)]
+    labels = [label_of_code(p, code) for code in sorted([*range(6), *regular])]
+    # |G| / |C(g)|, with centralizers of order |G|, 2p, p - 1 and p + 1
+    half = (p * p - 1) // 2
+    size = {CENTRAL_PLUS: 1, CENTRAL_MINUS: 1, UNIPOTENT_PLUS: half,
+            UNIPOTENT_MINUS: half, SPLIT: p * p + p, NONSPLIT: p * p - p}
+    dist = ClassDistribution(
+        p, {lab: _closed_form_fiber(p, lab) for lab in labels},
+        {lab: size[lab.kind] for lab in labels})
     dist.check_consistency()
     _dist_memo[p] = dist
     return dist
@@ -302,8 +308,8 @@ def count_commutator_fiber(p: int, target: SL2Element) -> int:
 
 def membership_mask(table: GroupTable, M: np.ndarray,
                     spec: GeometricClass) -> np.ndarray:
-    """Which matrices of M (shape (..., 4)) lie in the geometric class; reads
-    only matrix entries, so the brute-force oracle uses it too."""
+    """Which matrices of M (shape (..., 4)) lie in the geometric class: the
+    brute-force oracle's class predicate, which reads only matrix entries."""
     p = table.p
     t = (M[..., 0] + M[..., 3]) % p
     if spec.kind == "W4any":
@@ -321,15 +327,14 @@ def membership_mask(table: GroupTable, M: np.ndarray,
 def _fiber_sum(p: int, spec: GeometricClass,
                weighted: list[tuple[int, SL2Element]]) -> int:
     """sum over (n, T) of n * sum over C in spec of fiber(T C)."""
-    table = group_table(p)
     dist = commutator_fiber_distribution(p)
-    lut = np.array([dist.fibers.get(table.label_of_code(code), 0)
+    lut = np.array([dist.fibers.get(label_of_code(p, code), 0)
                     for code in range(6 + 2 * p)], dtype=np.int64)
-    members = table.elements[membership_mask(table, table.elements, spec)]
+    members = class_members(p, spec)
     total = 0
     for n, T in weighted:
-        TC = table.mat_mul(np.array(T.entries(), dtype=np.int64), members)
-        total += n * int(lut[table.label_codes(TC)].sum())
+        TC = mat_mul(p, np.array(T.entries(), dtype=np.int64), members)
+        total += n * int(lut[label_codes(p, TC)].sum())
     return total
 
 
@@ -369,12 +374,13 @@ def count_x_stratum(p: int, name: str) -> int:
                for lab in dist.fibers if lab.kind in kinds)
 
 
-def count_diagonal_commutator_fiber(p: int, lam: int, mu: int, t2: int,
-                                    t1: int | None = None) -> int:
-    """Direct enumeration of P in SL(2,F_p) mod the right diagonal torus with
-    [P, diag(lam, 1/lam)] = [[d mu, -b/mu], [-c mu, a/mu]] for the (a,d)
-    recovered from the trace pair; bc = ad - 1 is then automatic.
-    """
+def _diagonal_commutator_targets(p: int, lam: int, mu: int, t2: int,
+                                 t1: int | None) -> tuple[int, int, int]:
+    """(l2, want11, want22) of a DiagonalCommutatorFiber: P = [[x, y], [z, w]]
+    is in it when xw - yz/l2 = want11 and xw - l2 yz = want22, with
+    l2 = lam^2.  The wants are [[d mu, .], [., a/mu]] for the (a, d)
+    recovered from the trace pair.  Plain arithmetic, no class theory, so
+    the oracle shares it."""
     lam %= p
     mu %= p
     t2 %= p
@@ -389,20 +395,31 @@ def count_diagonal_commutator_fiber(p: int, lam: int, mu: int, t2: int,
         rhs = ((1 - mu * mu) * (1 + l2) - (1 - mu * mu % p * l2) * t2) % p
         t1 = rhs * inverse_mod(mu * (l2 - 1) % p, p) % p
     t1 %= p
-    den = inverse_mod((mu - inverse_mod(mu, p)) % p, p)
+    mu_inv = inverse_mod(mu, p)
+    den = inverse_mod((mu - mu_inv) % p, p)
     a = (mu * t1 - t2) * den % p
-    d = (t2 - inverse_mod(mu, p) * t1) * den % p
-    table = group_table(p)
-    E = table.elements
-    x, y, z, w = E[:, 0], E[:, 1], E[:, 2], E[:, 3]
-    l2i = inverse_mod(l2, p)
-    pd11 = (x * w - l2i * y * z) % p
-    pd22 = (x * w - l2 * y * z) % p
-    matches = int(((pd11 == d * mu % p) & (pd22 == a * inverse_mod(mu, p) % p)).sum())
-    if matches % (p - 1):
-        raise ArithmeticError(f"fiber size {matches} not divisible by the "
-                              f"torus order {p-1} at p={p}")
-    return matches // (p - 1)
+    d = (t2 - mu_inv * t1) * den % p
+    return l2, d * mu % p, a * mu_inv % p
+
+
+def count_diagonal_commutator_fiber(p: int, lam: int, mu: int, t2: int,
+                                    t1: int | None = None) -> int:
+    """#{P in SL(2,F_p)} / (p-1) with [P, diag(lam, 1/lam)] of the diagonal
+    forced by the trace pair; bc = ad - 1 is then automatic.
+
+    X = xw and Y = yz solve X - Y = 1 (the determinant) and
+    X - Y/l2 = want11, since l2 != 1; the fiber is empty unless also
+    X - l2 Y = want22, and otherwise it is N(X) N(Y) / (p-1) with
+    N(c) = #{(x, w): xw = c}, which is 2p-1 for c = 0 and p-1 otherwise.
+    """
+    check_prime(p)
+    l2, want11, want22 = _diagonal_commutator_targets(p, lam, mu, t2, t1)
+    Y = (want11 - 1) * inverse_mod(1 - inverse_mod(l2, p), p) % p
+    X = (1 + Y) % p
+    if (X - l2 * Y) % p != want22:
+        return 0
+    n_x, n_y = (2 * p - 1 if c == 0 else p - 1 for c in (X, Y))
+    return n_x * n_y // (p - 1)
 
 
 def fast_count(p: int, spec: TargetSpec) -> int:
@@ -550,20 +567,8 @@ def brute_force_count(p: int, spec: TargetSpec) -> int:
 
 def _brute_diagonal_commutator_fiber(p: int, spec: DiagonalCommutatorFiber) -> int:
     """Four nested scalar loops over P entries; independent of GroupTable."""
-    lam, mu, t2 = spec.lam % p, spec.mu % p, spec.t2 % p
-    if lam in (0, 1, p - 1) or mu in (0, 1, p - 1):
-        raise ValueError("lam and mu must avoid {0, ±1} mod p")
-    l2 = lam * lam % p
-    t1 = spec.t1
-    if t1 is None:
-        rhs = ((1 - mu * mu) * (1 + l2) - (1 - mu * mu % p * l2) * t2) % p
-        t1 = rhs * inverse_mod(mu * (l2 - 1) % p, p) % p
-    t1 %= p
-    den = inverse_mod((mu - inverse_mod(mu, p)) % p, p)
-    a = (mu * t1 - t2) * den % p
-    d = (t2 - inverse_mod(mu, p) * t1) * den % p
-    want11 = d * mu % p
-    want22 = a * inverse_mod(mu, p) % p
+    l2, want11, want22 = _diagonal_commutator_targets(
+        p, spec.lam, spec.mu, spec.t2, spec.t1)
     l2i = inverse_mod(l2, p)
     matches = 0
     for x in range(p):

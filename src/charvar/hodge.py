@@ -35,9 +35,6 @@ class BettiVector:
     def __getitem__(self, k: int) -> int:
         return self.values[k]
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * v for k, v in enumerate(self.values))
-
 
 def compact_betti_from_poincare(poincare: Sequence[int], dimension: int) -> BettiVector:
     """b_c[k] = coefficient of t^(2d-k): Poincare duality for a smooth variety.
@@ -66,14 +63,6 @@ class HodgeTable:
     def __getitem__(self, kp: tuple[int, int]) -> int:
         k, p = kp
         return self.h[k][p]
-
-    def column_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.h)
-
-    def row_alternating_sums(self) -> tuple[int, ...]:
-        d = self.dimension
-        return tuple(sum((-1) ** k * self.h[k][p] for k in range(2 * d + 1))
-                     for p in range(d + 1))
 
 
 def _pad_e(e_coeffs: Sequence[int], dimension: int) -> list[int]:

@@ -49,7 +49,7 @@ def is_odd_prime(n: int) -> bool:
     return True
 
 
-def _check_prime(p: int, max_prime: int = MAX_ENUM_PRIME) -> None:
+def check_prime(p: int, max_prime: int = MAX_ENUM_PRIME) -> None:
     if not is_odd_prime(p):
         raise ValueError(f"p = {p} is not an odd prime >= 3")
     if p > max_prime:
@@ -129,9 +129,6 @@ class SL2Element:
     def __neg__(self) -> "SL2Element":
         return SL2Element(-self.m11, -self.m12, -self.m21, -self.m22, self.p)
 
-    def conjugated_by(self, g: "SL2Element") -> "SL2Element":
-        return g * self * g.inverse()
-
     def is_identity(self) -> bool:
         return self.entries() == (1, 0, 0, 1)
 
@@ -151,23 +148,11 @@ class SL2Element:
 
 
 def enumerate_sl2(p: int, max_prime: int = MAX_ENUM_PRIME) -> Iterator[SL2Element]:
-    """All of SL(2,F_p) exactly once, row-major over (m11,m12,m21).
-
-    m22 is solved when m11 != 0; the m11 = 0 branch forces m21 = -m12^{-1}
-    and leaves m22 free.  Length is p^3 - p.
-    """
-    _check_prime(p, max_prime)
-    for a in range(p):
-        if a:
-            ainv = inverse_mod(a, p)
-            for b in range(p):
-                for c in range(p):
-                    yield SL2Element(a, b, c, (1 + b * c) * ainv, p)
-        else:
-            for b in range(1, p):
-                c = (-inverse_mod(b, p)) % p
-                for d in range(p):
-                    yield SL2Element(0, b, c, d, p)
+    """All p^3 - p elements of SL(2,F_p) once each, lexicographic in the
+    entries: the rows of _sl2_rows."""
+    check_prime(p, max_prime)
+    for row in _sl2_rows(p).tolist():
+        yield SL2Element(*row, p)
 
 
 def commutator(a: SL2Element, b: SL2Element) -> SL2Element:
@@ -216,11 +201,6 @@ def centralizer_order(m: SL2Element) -> int:
     return p - 1 if kind == SPLIT else p + 1
 
 
-def orbit_size(m: SL2Element) -> int:
-    p = m.p
-    return (p ** 3 - p) // centralizer_order(m)
-
-
 # ---------------------------------------------------------------------------
 # geometric classes
 
@@ -259,20 +239,6 @@ class GeometricClass:
             lam = self.lam_mod(p)
             return (lam + inverse_mod(lam, p)) % p
         return None
-
-    def contains(self, m: SL2Element) -> bool:
-        t = m.trace()
-        if self.kind == "W0":
-            return m.is_identity()
-        if self.kind == "W1":
-            return m.is_minus_identity()
-        if self.kind == "W2":
-            return t == 2 and not m.is_identity()
-        if self.kind == "W3":
-            return t == m.p - 2 and not m.is_minus_identity()
-        if self.kind == "W4":
-            return t == self.trace_mod(m.p)
-        return t not in (2, m.p - 2)
 
     def size(self, p: int) -> int:
         if self.kind in ("W0", "W1"):
@@ -314,31 +280,104 @@ def w4(lam: int) -> GeometricClass:
     return GeometricClass("W4", lam)
 
 
-def geometric_members(p: int, spec: GeometricClass,
-                      max_prime: int = MAX_ENUM_PRIME) -> list[SL2Element]:
-    """Elements of the geometric class over F_p, in enumeration order."""
-    _check_prime(p, max_prime)
-    if spec.kind == "W4":
-        spec.lam_mod(p)  # rejects lam in {0, ±1}
-    return [m for m in enumerate_sl2(p, max_prime) if spec.contains(m)]
+def geometric_members(p: int, spec: GeometricClass) -> list[SL2Element]:
+    """Elements of the geometric class over F_p, in enumeration order (which
+    is lexicographic in the entries)."""
+    return [SL2Element(*m, p) for m in sorted(class_members(p, spec).tolist())]
 
 
 # ---------------------------------------------------------------------------
-# vectorized per-prime tables
+# vectorized arithmetic on (..., 4) int64 arrays of entries mod p
 
 # label codes: 0 C+, 1 C-, 2/3 U+ sq/nonsq, 4/5 U- sq/nonsq,
 # 6+t split trace t, 6+p+t nonsplit trace t.
-_UNIPOTENT_CODE = {(UNIPOTENT_PLUS, SQUARE): 2, (UNIPOTENT_PLUS, NONSQUARE): 3,
-                   (UNIPOTENT_MINUS, SQUARE): 4, (UNIPOTENT_MINUS, NONSQUARE): 5}
+_FIXED_LABELS = (ClassLabel(CENTRAL_PLUS), ClassLabel(CENTRAL_MINUS),
+                 *(ClassLabel(kind, detail)
+                   for kind in (UNIPOTENT_PLUS, UNIPOTENT_MINUS)
+                   for detail in (SQUARE, NONSQUARE)))
+
+
+def _inverses(p: int) -> np.ndarray:
+    """x^{-1} mod p at index x != 0 (index 0 holds 0)."""
+    inv = np.zeros(p, dtype=np.int64)
+    inv[1:] = [inverse_mod(x, p) for x in range(1, p)]
+    return inv
+
+
+def mat_mul(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A B mod p, broadcast over the leading axes."""
+    a, b, c, d = A[..., 0], A[..., 1], A[..., 2], A[..., 3]
+    e, f, g, h = B[..., 0], B[..., 1], B[..., 2], B[..., 3]
+    return np.stack([(a * e + b * g) % p, (a * f + b * h) % p,
+                     (c * e + d * g) % p, (c * f + d * h) % p], axis=-1)
+
+
+def label_codes(p: int, M: np.ndarray) -> np.ndarray:
+    """Rational class code of every matrix of M (see label_of_code)."""
+    square = np.zeros(p, dtype=bool)      # nonzero squares mod p
+    square[np.arange(1, p, dtype=np.int64) ** 2 % p] = True
+    m11, m12, m21, m22 = M[..., 0], M[..., 1], M[..., 2], M[..., 3]
+    t = (m11 + m22) % p
+    codes = np.where(square[(t * t - 4) % p], 6 + t, 6 + p + t)
+    plus = t == 2
+    minus = t == p - 2
+    detail_square = square[np.where(m21 != 0, m21, (-m12) % p)]
+    codes = np.where(plus, np.where(detail_square, 2, 3), codes)
+    codes = np.where(minus, np.where(detail_square, 4, 5), codes)
+    off_diag_zero = (m12 == 0) & (m21 == 0)
+    codes = np.where(plus & off_diag_zero & (m11 == 1), 0, codes)
+    codes = np.where(minus & off_diag_zero & (m11 == p - 1), 1, codes)
+    return codes
+
+
+def label_of_code(p: int, code: int) -> ClassLabel:
+    if code < 6:
+        return _FIXED_LABELS[code]
+    if code < 6 + p:
+        return ClassLabel(SPLIT, code - 6)
+    return ClassLabel(NONSPLIT, code - 6 - p)
+
+
+def class_members(p: int, spec: GeometricClass) -> np.ndarray:
+    """The members of a geometric class as a (size, 4) int64 array, built
+    per trace in O(p^2) without enumerating the group.
+
+    A matrix of trace t is [[a, b], [c, t-a]] with bc = a(t-a) - 1: for
+    b != 0 that fixes c, and for b = 0, a is a root of a(t-a) = 1 and c is
+    free.  W2 and W3 then drop ±Id (the b = c = 0 row), W0 and W1 are their
+    one representative and W4any takes every trace t != ±2.
+    """
+    check_prime(p)
+    if spec.kind in ("W0", "W1"):
+        return np.array([spec.representative(p).entries()], dtype=np.int64)
+    if spec.kind == "W4any":
+        traces = [t for t in range(p) if t not in (2, p - 2)]
+    else:
+        traces = [spec.trace_mod(p)]
+    r = np.arange(p, dtype=np.int64)
+    t, a = np.array(traces, dtype=np.int64)[:, None], r[None, :]
+    bc = (a * (t - a) - 1) % p                                # (traces, p)
+    b = r[1:]
+    solved = np.stack(np.broadcast_arrays(
+        a[..., None], b, bc[..., None] * _inverses(p)[b] % p,
+        ((t - a) % p)[..., None]), axis=-1)
+    ti, ai = np.nonzero(bc == 0)
+    c = r[1:] if spec.kind in ("W2", "W3") else r
+    free = np.stack(np.broadcast_arrays(
+        ai[:, None], 0, c, ((t[ti, 0] - ai) % p)[:, None]), axis=-1)
+    return np.concatenate([solved.reshape(-1, 4), free.reshape(-1, 4)])
+
+
+# ---------------------------------------------------------------------------
+# the group table: every element of SL(2,F_p) with its class code
 
 
 def _sl2_rows(p: int) -> np.ndarray:
-    """enumerate_sl2(p) as a (p^3 - p, 4) int64 array, in the same row order:
-    the m11 = 0 block (m12 major, m22 minor), then m11 = 1..p-1 with
-    (m11, m12, m21) row-major and m22 solved."""
+    """SL(2,F_p) as a (p^3 - p, 4) int64 array in lexicographic row order:
+    the m11 = 0 block, where m21 = -1/m12 and m22 is free, then
+    m11 = 1..p-1 with (m11, m12, m21) row-major and m22 solved."""
     r = np.arange(p, dtype=np.int64)
-    inv = np.zeros(p, dtype=np.int64)
-    inv[1:] = [inverse_mod(x, p) for x in range(1, p)]
+    inv = _inverses(p)
     b, d = np.meshgrid(r[1:], r, indexing="ij")
     zero = np.stack([np.zeros_like(b), b, (-inv[b]) % p, d], axis=-1)
     a, b, c = np.meshgrid(r[1:], r, r, indexing="ij")
@@ -347,30 +386,21 @@ def _sl2_rows(p: int) -> np.ndarray:
 
 
 class GroupTable:
-    """SL(2,F_p) as numpy arrays with per-element class data.
+    """SL(2,F_p) as numpy arrays with per-element class codes.
 
-    Rows follow enumerate_sl2 order.  All arrays are int64; entries stay
-    below p^2 before reduction, far from overflow.
+    Rows follow enumerate_sl2 order.  The fast counting path never builds
+    one; it serves the brute-force oracle and the tests.
     """
 
     def __init__(self, p: int, max_prime: int = MAX_ENUM_PRIME):
-        _check_prime(p, max_prime)
+        check_prime(p, max_prime)
         self.p = p
         self.elements = _sl2_rows(p)
         self.n = len(self.elements)
-        sq = np.zeros(p, dtype=bool)
-        sq[(np.arange(1, p, dtype=np.int64) ** 2) % p] = True
-        self.square_table = sq  # nonzero squares mod p
         self.codes = self.label_codes(self.elements)
 
-    # -- raw matrix ops on (*, 4) arrays ------------------------------------
-
     def mat_mul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        p = self.p
-        a, b, c, d = A[..., 0], A[..., 1], A[..., 2], A[..., 3]
-        e, f, g, h = B[..., 0], B[..., 1], B[..., 2], B[..., 3]
-        return np.stack([(a * e + b * g) % p, (a * f + b * h) % p,
-                         (c * e + d * g) % p, (c * f + d * h) % p], axis=-1)
+        return mat_mul(self.p, A, B)
 
     def mat_inv(self, A: np.ndarray) -> np.ndarray:
         p = self.p
@@ -378,41 +408,10 @@ class GroupTable:
                          (-A[..., 2]) % p, A[..., 0]], axis=-1)
 
     def label_codes(self, M: np.ndarray) -> np.ndarray:
-        p = self.p
-        m11, m12, m21, m22 = M[..., 0], M[..., 1], M[..., 2], M[..., 3]
-        t = (m11 + m22) % p
-        disc_square = self.square_table[(t * t - 4) % p]
-        codes = np.where(disc_square, 6 + t, 6 + p + t)
-        plus = t == 2
-        minus = t == p - 2
-        detail = np.where(m21 != 0, m21, (-m12) % p)
-        detail_square = self.square_table[detail]
-        codes = np.where(plus, np.where(detail_square, 2, 3), codes)
-        codes = np.where(minus, np.where(detail_square, 4, 5), codes)
-        off_diag_zero = (m12 == 0) & (m21 == 0)
-        codes = np.where(plus & off_diag_zero & (m11 == 1), 0, codes)
-        codes = np.where(minus & off_diag_zero & (m11 == p - 1), 1, codes)
-        return codes
-
-    # -- code/label conversion ----------------------------------------------
+        return label_codes(self.p, M)
 
     def label_of_code(self, code: int) -> ClassLabel:
-        p = self.p
-        if code == 0:
-            return ClassLabel(CENTRAL_PLUS)
-        if code == 1:
-            return ClassLabel(CENTRAL_MINUS)
-        if 2 <= code <= 5:
-            for (kind, detail), c in _UNIPOTENT_CODE.items():
-                if c == code:
-                    return ClassLabel(kind, detail)
-        if code < 6 + p:
-            return ClassLabel(SPLIT, code - 6)
-        return ClassLabel(NONSPLIT, code - 6 - p)
-
-    def element(self, row: int) -> SL2Element:
-        a, b, c, d = self.elements[row].tolist()
-        return SL2Element(a, b, c, d, self.p)
+        return label_of_code(self.p, code)
 
 
 @lru_cache(maxsize=None)

@@ -4,13 +4,15 @@ Every frozen number here was produced by the direct pair-enumeration
 oracle (brute_force_count / brute_commutator_tally) before being written
 down; fast-path agreement is the contract under test.  Above the brute
 guard, the closed-form fibers are checked against the vectorised
-class-function identity (vector_fiber).
+class-function identity (vector_fiber), and the closed-form class sizes
+and generated class members against the group table.
 """
 
 import numpy as np
 import pytest
 
 import charvar.counting as counting
+from charvar.cli import verification_plan
 from charvar.counting import (CommutatorFiber, DiagonalCommutatorFiber,
                               OracleRangeError, XStratum, ZFull, ZbarCase,
                               brute_commutator_tally, brute_force_count,
@@ -20,8 +22,8 @@ from charvar.counting import (CommutatorFiber, DiagonalCommutatorFiber,
                               count_z_full, count_zbar, fast_count,
                               membership_mask, monodromy_probe)
 from charvar.sl2 import (NONSPLIT, SL2Element, W0, W1, W2, W3, W4ANY,
-                         commutator, enumerate_sl2, group_table, inverse_mod,
-                         rational_class_of, w4)
+                         class_members, commutator, enumerate_sl2, group_table,
+                         inverse_mod, rational_class_of, w4)
 
 
 def vector_fiber(table, g) -> int:
@@ -63,6 +65,15 @@ def test_closed_form_fibers_match_vector_identity(p):
     dist = commutator_fiber_distribution(p)
     for label, g in class_rows(table):
         assert dist.fibers[label] == vector_fiber(table, g), label
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_closed_form_class_sizes_match_counted_sizes(p):
+    table = group_table(p)
+    sizes = np.bincount(table.codes)
+    counted = {table.label_of_code(code): int(sizes[code])
+               for code in np.flatnonzero(sizes).tolist()}
+    assert commutator_fiber_distribution(p).orbit_sizes == counted
 
 
 def test_distribution_frozen_values_at_5():
@@ -140,7 +151,8 @@ def test_fiber_is_class_function():
     p = 7
     g = SL2Element(3, 1, 2, 1, p)   # trace 4, nonsplit at 7
     assert rational_class_of(g).kind == NONSPLIT
-    conj = g.conjugated_by(SL2Element(1, 2, 3, 0, p))
+    h = SL2Element(1, 2, 3, 0, p)
+    conj = h * g * h.inverse()
     assert count_commutator_fiber(p, g) == count_commutator_fiber(p, conj)
 
 
@@ -216,13 +228,65 @@ def test_zbar_validation():
 # full tuple sets
 
 
+@pytest.mark.parametrize("p", [5, 7, 31])
+def test_class_members_match_the_table_mask(p):
+    table = group_table(p)
+    for spec in [W0, W1, W2, W3, W4ANY] + [w4(lam) for lam in range(2, p - 1)]:
+        members = class_members(p, spec)
+        assert len(members) == spec.size(p), spec
+        mask = membership_mask(table, table.elements, spec)
+        assert {tuple(m) for m in members.tolist()} == \
+            {tuple(m) for m in table.elements[mask].tolist()}, spec
+
+
+def test_fast_path_builds_no_group_table():
+    p = 89
+    specs = [CommutatorFiber(SL2Element.jminus(p)), ZbarCase("zbar22"),
+             ZbarCase("zbar34", 3), ZbarCase("zbar44", 2, 3),
+             ZFull(W2, w4(3)), ZFull(W4ANY, W3), XStratum("X4"),
+             DiagonalCommutatorFiber(2, 3, 0)]
+    sizes = [t for t in verification_plan("blocks") if t.id.endswith("-size")]
+    assert len(sizes) == 2
+    group_table.cache_clear()
+    for spec in specs:
+        fast_count(p, spec)
+    assert [t.count(p) for t in sizes] == [p * p - 1, p * p + p]
+    assert group_table.cache_info().currsize == 0
+
+
+def test_fast_path_keeps_the_prime_checks():
+    for p in (9, 103):
+        with pytest.raises(ValueError):
+            commutator_fiber_distribution(p)
+        with pytest.raises(ValueError):
+            class_members(p, W2)
+        with pytest.raises(ValueError):
+            count_diagonal_commutator_fiber(p, 2, 3, 0)
+
+
+def _contains(spec, m):
+    """Scalar geometric-class membership from the trace and ±Id tests."""
+    t, p = m.trace(), m.p
+    if spec.kind == "W0":
+        return m.is_identity()
+    if spec.kind == "W1":
+        return m.is_minus_identity()
+    if spec.kind == "W2":
+        return t == 2 and not m.is_identity()
+    if spec.kind == "W3":
+        return t == p - 2 and not m.is_minus_identity()
+    if spec.kind == "W4":
+        return t == spec.trace_mod(p)
+    return t not in (2, p - 2)
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_membership_mask_matches_scalar_contains(p):
-    # the one vectorised class predicate, used by both counting routes
+    # the oracle's vectorised class predicate
     table = group_table(p)
     for spec in (W0, W1, W2, W3, w4(2), w4(3), W4ANY):
         mask = membership_mask(table, table.elements, spec)
-        assert mask.tolist() == [spec.contains(m) for m in enumerate_sl2(p)], spec
+        assert mask.tolist() == [_contains(spec, m) for m in enumerate_sl2(p)], spec
 
 
 def test_zfull_w2w3_frozen_and_oracle_at_5():
@@ -352,6 +416,19 @@ def test_diagonal_commutator_fiber_inconsistent_traces_empty():
     del spec
 
 
+@pytest.mark.parametrize("p, lams", [(5, range(2, 4)), (7, range(2, 6)),
+                                     (13, (5, 8))])
+def test_diagonal_commutator_fiber_closed_form_matches_scalar_loops(p, lams):
+    # at p = 13, lam = 5 and 8 have lam^2 = -1, so l2 - 1/l2 = 0
+    for lam in lams:
+        for mu in range(2, p - 1):
+            for t2 in range(p):
+                for t1 in (None, 0, 1):
+                    spec = DiagonalCommutatorFiber(lam, mu, t2, t1)
+                    assert fast_count(p, spec) == \
+                        counting._brute_diagonal_commutator_fiber(p, spec), spec
+
+
 def test_diagonal_commutator_fiber_parameter_validation():
     with pytest.raises(ValueError):
         count_diagonal_commutator_fiber(7, 1, 3, 0)
@@ -405,11 +482,14 @@ def test_oracle_range_guards():
 def _check_cayley_pairs(p, pairs):
     table = group_table(p)
     mul, inv = counting._cayley(p)
+
+    def element(row):
+        return SL2Element(*table.elements[int(row)].tolist(), p)
+
     for i, j in pairs:
-        a, b = table.element(i), table.element(j)
-        assert table.element(int(mul[i, j])) == a * b, (i, j)
+        assert element(mul[i, j]) == element(i) * element(j), (i, j)
     for i in range(table.n):
-        assert table.element(int(inv[i])) == table.element(i).inverse(), i
+        assert element(inv[i]) == element(i).inverse(), i
 
 
 def test_cayley_table_matches_sl2_arithmetic_at_5():
