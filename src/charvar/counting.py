@@ -55,8 +55,9 @@ import numpy as np
 from .sl2 import (CENTRAL_MINUS, CENTRAL_PLUS, NONSPLIT, SPLIT,
                   UNIPOTENT_MINUS, UNIPOTENT_PLUS, ClassLabel, GeometricClass,
                   GroupTable, SL2Element, W0, W1, W2, W3, W4ANY, check_prime,
-                  class_members, group_table, inverse_mod, is_square_mod,
-                  label_codes, label_of_code, mat_mul, rational_class_of, w4)
+                  class_members, class_size, group_table, inverse_mod,
+                  is_square_mod, label_codes, label_of_code, mat_inv, mat_mul,
+                  rational_class_of, w4)
 
 BRUTE_MAX_PAIR_PRIME = 13    # CommFiber / diagonal-commutator targets
 BRUTE_MAX_TUPLE_PRIME = 7    # barred sets and full tuple sets
@@ -283,13 +284,9 @@ def commutator_fiber_distribution(p: int) -> ClassDistribution:
     regular = [6 + t if is_square_mod(t * t - 4, p) else 6 + p + t
                for t in range(p) if t not in (2, p - 2)]
     labels = [label_of_code(p, code) for code in sorted([*range(6), *regular])]
-    # |G| / |C(g)|, with centralizers of order |G|, 2p, p - 1 and p + 1
-    half = (p * p - 1) // 2
-    size = {CENTRAL_PLUS: 1, CENTRAL_MINUS: 1, UNIPOTENT_PLUS: half,
-            UNIPOTENT_MINUS: half, SPLIT: p * p + p, NONSPLIT: p * p - p}
     dist = ClassDistribution(
         p, {lab: _closed_form_fiber(p, lab) for lab in labels},
-        {lab: size[lab.kind] for lab in labels})
+        {lab: class_size(p, lab.kind) for lab in labels})
     dist.check_consistency()
     _dist_memo[p] = dist
     return dist
@@ -453,7 +450,7 @@ def _cayley(p: int) -> tuple[np.ndarray, np.ndarray]:
     """(mul, inv) on the rows of group_table(p): mul[i, j] is the row of
     E_i E_j and inv[i] the row of E_i^{-1}, both int32 and read-only.
 
-    Built from table.mat_mul in blocks of rows; a dense p^4 lookup from
+    Built from sl2.mat_mul in blocks of rows; a dense p^4 lookup from
     encoded entries turns each product back into a row.  Memoised per
     prime and refused above BRUTE_MAX_PAIR_PRIME, which bounds the memo.
     """
@@ -474,12 +471,12 @@ def _cayley(p: int) -> tuple[np.ndarray, np.ndarray]:
             raise ArithmeticError(f"a product missed the group table at p={p}")
         return r
 
-    inv = rows(table.mat_inv(table.elements))
+    inv = rows(mat_inv(p, table.elements))
     mul = np.empty((n, n), dtype=np.int32)
     step = max(1, _CELLS // n)
     for a in range(0, n, step):
-        mul[a:a + step] = rows(table.mat_mul(table.elements[a:a + step, None],
-                                             table.elements[None]))
+        mul[a:a + step] = rows(mat_mul(p, table.elements[a:a + step, None],
+                                       table.elements[None]))
     mul.flags.writeable = inv.flags.writeable = False
     _cayley_memo[p] = mul, inv
     return mul, inv

@@ -148,11 +148,23 @@ class SL2Element:
 
 
 def enumerate_sl2(p: int, max_prime: int = MAX_ENUM_PRIME) -> Iterator[SL2Element]:
-    """All p^3 - p elements of SL(2,F_p) once each, lexicographic in the
-    entries: the rows of _sl2_rows."""
+    """All of SL(2,F_p) exactly once, row-major over (m11,m12,m21).
+
+    m22 is solved when m11 != 0; the m11 = 0 branch forces m21 = -m12^{-1}
+    and leaves m22 free.  The scalar reference for _sl2_rows.
+    """
     check_prime(p, max_prime)
-    for row in _sl2_rows(p).tolist():
-        yield SL2Element(*row, p)
+    for a in range(p):
+        if a:
+            ainv = inverse_mod(a, p)
+            for b in range(p):
+                for c in range(p):
+                    yield SL2Element(a, b, c, (1 + b * c) * ainv, p)
+        else:
+            for b in range(1, p):
+                c = (-inverse_mod(b, p)) % p
+                for d in range(p):
+                    yield SL2Element(0, b, c, d, p)
 
 
 def commutator(a: SL2Element, b: SL2Element) -> SL2Element:
@@ -191,14 +203,21 @@ def rational_class_of(m: SL2Element) -> ClassLabel:
     return ClassLabel(NONSPLIT, t)
 
 
-def centralizer_order(m: SL2Element) -> int:
-    p = m.p
-    kind = rational_class_of(m).kind
+def _centralizer_order_of_kind(p: int, kind: str) -> int:
     if kind in (CENTRAL_PLUS, CENTRAL_MINUS):
         return p ** 3 - p
     if kind in (UNIPOTENT_PLUS, UNIPOTENT_MINUS):
         return 2 * p
     return p - 1 if kind == SPLIT else p + 1
+
+
+def centralizer_order(m: SL2Element) -> int:
+    return _centralizer_order_of_kind(m.p, rational_class_of(m).kind)
+
+
+def class_size(p: int, kind: str) -> int:
+    """|G| / |C(g)|: 1, (p^2 - 1)/2, p^2 + p, p^2 - p (central to nonsplit)."""
+    return (p ** 3 - p) // _centralizer_order_of_kind(p, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +331,12 @@ def mat_mul(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
                      (c * e + d * g) % p, (c * f + d * h) % p], axis=-1)
 
 
+def mat_inv(p: int, A: np.ndarray) -> np.ndarray:
+    """A^{-1} mod p for determinant-one A, broadcast over the leading axes."""
+    return np.stack([A[..., 3], (-A[..., 1]) % p,
+                     (-A[..., 2]) % p, A[..., 0]], axis=-1)
+
+
 def label_codes(p: int, M: np.ndarray) -> np.ndarray:
     """Rational class code of every matrix of M (see label_of_code)."""
     square = np.zeros(p, dtype=bool)      # nonzero squares mod p
@@ -397,21 +422,7 @@ class GroupTable:
         self.p = p
         self.elements = _sl2_rows(p)
         self.n = len(self.elements)
-        self.codes = self.label_codes(self.elements)
-
-    def mat_mul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        return mat_mul(self.p, A, B)
-
-    def mat_inv(self, A: np.ndarray) -> np.ndarray:
-        p = self.p
-        return np.stack([A[..., 3], (-A[..., 1]) % p,
-                         (-A[..., 2]) % p, A[..., 0]], axis=-1)
-
-    def label_codes(self, M: np.ndarray) -> np.ndarray:
-        return label_codes(self.p, M)
-
-    def label_of_code(self, code: int) -> ClassLabel:
-        return label_of_code(self.p, code)
+        self.codes = label_codes(p, self.elements)
 
 
 @lru_cache(maxsize=None)

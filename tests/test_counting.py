@@ -23,7 +23,8 @@ from charvar.counting import (CommutatorFiber, DiagonalCommutatorFiber,
                               membership_mask, monodromy_probe)
 from charvar.sl2 import (NONSPLIT, SL2Element, W0, W1, W2, W3, W4ANY,
                          class_members, commutator, enumerate_sl2, group_table,
-                         inverse_mod, rational_class_of, w4)
+                         inverse_mod, label_codes, label_of_code, mat_inv,
+                         mat_mul, rational_class_of, w4)
 
 
 def vector_fiber(table, g) -> int:
@@ -33,9 +34,10 @@ def vector_fiber(table, g) -> int:
     conjugate to A^{-1} the B's form one coset of C(A^{-1}) = C(A).  No
     character theory is used: a second route to the closed forms.
     """
-    inverses = table.mat_inv(table.elements)
-    M = table.mat_mul(inverses, np.array(g, dtype=np.int64))
-    hit = table.label_codes(M) == table.label_codes(inverses)
+    p = table.p
+    inverses = mat_inv(p, table.elements)
+    M = mat_mul(p, inverses, np.array(g, dtype=np.int64))
+    hit = label_codes(p, M) == label_codes(p, inverses)
     class_size = np.bincount(table.codes)
     return int((table.n // class_size[table.codes[hit]]).sum())
 
@@ -43,7 +45,7 @@ def vector_fiber(table, g) -> int:
 def class_rows(table):
     """(label, entries) of the first table row of each realised class."""
     codes, rows = np.unique(table.codes, return_index=True)
-    return [(table.label_of_code(code), tuple(table.elements[row].tolist()))
+    return [(label_of_code(table.p, code), tuple(table.elements[row].tolist()))
             for code, row in zip(codes.tolist(), rows.tolist())]
 
 
@@ -71,7 +73,7 @@ def test_closed_form_fibers_match_vector_identity(p):
 def test_closed_form_class_sizes_match_counted_sizes(p):
     table = group_table(p)
     sizes = np.bincount(table.codes)
-    counted = {table.label_of_code(code): int(sizes[code])
+    counted = {label_of_code(p, code): int(sizes[code])
                for code in np.flatnonzero(sizes).tolist()}
     assert commutator_fiber_distribution(p).orbit_sizes == counted
 
@@ -523,7 +525,7 @@ def test_tally_matches_pure_python_enumeration(p):
 class _NoClassData:
     """A group table that refuses every read of per-element class data."""
 
-    HIDDEN = ("codes", "label_codes", "label_of_code")
+    HIDDEN = ("codes",)
 
     def __init__(self, table):
         self._table = table
@@ -548,6 +550,8 @@ def test_oracle_uses_no_class_theory(monkeypatch):
 
     monkeypatch.setattr(counting, "commutator_fiber_distribution", refuse)
     monkeypatch.setattr(counting, "_closed_form_fiber", refuse)
+    for name in ("class_members", "class_size", "label_codes", "label_of_code"):
+        monkeypatch.setattr(counting, name, refuse)
     monkeypatch.setattr(counting, "group_table",
                         lambda q: _NoClassData(group_table(q)))
     monkeypatch.setattr(counting, "_cayley_memo", {})

@@ -8,7 +8,8 @@ from charvar.sl2 import (CENTRAL_MINUS, CENTRAL_PLUS, NONSPLIT, NONSQUARE,
                          GeometricClass, SL2Element,
                          centralizer_order, commutator, enumerate_sl2,
                          geometric_members, group_table, inverse_mod,
-                         rational_class_of, w4, W0, W1, W2, W3, W4ANY)
+                         label_of_code, rational_class_of, w4,
+                         W0, W1, W2, W3, W4ANY)
 
 
 def all_elements(p):
@@ -289,7 +290,7 @@ def test_group_table_label_codes_agree_with_scalar_labels(p):
     table = group_table(p)
     for row in range(table.n):
         m = SL2Element(*table.elements[row].tolist(), p)
-        assert table.label_of_code(int(table.codes[row])) == rational_class_of(m)
+        assert label_of_code(p, int(table.codes[row])) == rational_class_of(m)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
