@@ -18,7 +18,7 @@ The command line front end lives in :mod:`charvar.cli`.
 from .epoly import EPolynomial, ExactDivisionError, Q, exact_divide
 from .sl2 import (ClassLabel, GeometricClass, SL2Element, W0, W1, W2, W3,
                   W4ANY, centralizer_order, class_members, commutator,
-                  enumerate_sl2, geometric_members, group_table, is_square_mod,
+                  enumerate_sl2, group_table, is_square_mod,
                   rational_class_of, w4)
 from .counting import (BRUTE_MAX_PAIR_PRIME, BRUTE_MAX_TUPLE_PRIME, XStratum,
                        ClassDistribution, CommutatorFiber,

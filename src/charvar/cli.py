@@ -16,11 +16,9 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .counting import (CommutatorFiber, DiagonalCommutatorFiber,
+from .counting import (ZBAR_ARITY, CommutatorFiber, DiagonalCommutatorFiber,
                        OracleRangeError, TargetSpec, XStratum, ZFull, ZbarCase,
-                       brute_force_count, count_commutator_fiber,
-                       count_x_stratum, count_z_full, count_zbar, fast_count,
-                       monodromy_probe)
+                       brute_force_count, fast_count, monodromy_probe)
 from .epoly import EPolynomial
 from .hodge import (compact_betti_from_poincare, default_instance,
                     enumerate_tables, forced_entries)
@@ -264,73 +262,84 @@ def _symbolic_identities() -> list[dict]:
     return rows
 
 
+# The count identities, one section per scope: (scope, primes, rows), run
+# prime by prime over primes, or over the run's panel when None.  A row is
+# (name, lhs, rhs[, its only primes]).  A side sums "A + B" terms: a FACTORS
+# entry, a `charvar count` target, or a factor times a target, as in
+# "(p²+p)·zbar24=2".  {lam} runs over the admissible lambdas, one row each,
+# and {square} / {nonsquare} over one square class; a "#" side counts the
+# distinct values it takes there, and the row is dropped if there are none.
+FACTORS = {"1": lambda p: 1, "(p²-1)": lambda p: p * p - 1,
+           "(p²+p)": lambda p: p * p + p, "|G|²": lambda p: (p ** 3 - p) ** 2}
+_CLASSES = [("w0", "w0"), ("w1", "w1"), ("w2", "w2"), ("w3", "w3"),
+            ("w4(2)", "w4=2"), ("w4any", "w4any")]    # (name, count syntax)
+IDENTITY_ROWS = (
+    ("blocks", None, [
+        ("X strata sum to |SL2|^2", " + ".join(f"xstratum:X{k}" for k in range(5)),
+         "|G|²")]),
+    ("blocks", IDENTITY_PRIMES, [
+        ("xi-fibers constant on square lambdas", "#commfiber:xi={square}", "1"),
+        ("xi-fibers constant on nonsquare lambdas", "#commfiber:xi={nonsquare}",
+         "1")]),
+    ("zbar", IDENTITY_PRIMES, [
+        ("negation: Zbar34(lam={lam}) = Zbar24(-lam)", "zbar34={lam}",
+         "zbar24=-{lam}"),
+        ("Zbar44 special pair equals generic of same class pattern", "zbar44=2,5",
+         "zbar44=2,3", (7,))]),
+    ("zfull", IDENTITY_PRIMES, [
+        *((f"symmetry: Z({n1},{n2}) = Z({n2},{n1})", f"zfull:{c1},{c2}",
+           f"zfull:{c2},{c1}")
+          for i, (n1, c1) in enumerate(_CLASSES) for n2, c2 in _CLASSES[i + 1:]),
+        ("negation: Z(W3,W3) = Z(W2,W2)", "zfull:w3,w3", "zfull:w2,w2"),
+        ("negation: Z(W3,W4(lam)) = Z(W2,W4(-lam))", "zfull:w3,w4=2",
+         "zfull:w2,w4=-2"),
+        ("fibration: Z23 = (p^2-1) Zbar23", "zfull:w2,w3", "(p²-1)·zbar23"),
+        ("fibration: Z24 = (p^2+p) Zbar24", "zfull:w2,w4=2", "(p²+p)·zbar24=2"),
+        ("fibration: Z44(2, 2) = (p^2+p) Zbar44(2, 2)", "zfull:w4=2,w4=2",
+         "(p²+p)·zbar44=2,2", (5,)),
+        ("fibration: Z44(2, 3) = (p^2+p) Zbar44(2, 3)", "zfull:w4=2,w4=3",
+         "(p²+p)·zbar44=2,3", (7,))]),
+)
+
+
+def _lambda_fills(p: int, text: str) -> list[dict]:
+    """A format mapping per lambda of the placeholder in text; [{}] if none."""
+    for key, square in (("lam", None), ("square", True), ("nonsquare", False)):
+        if "{" + key + "}" in text:
+            return [{key: lam} for lam in range(2, p - 1)
+                    if square is None or is_square_mod(lam, p) == square]
+    return [{}]
+
+
+def _side(p: int, text: str) -> int:
+    """The value at p of one side of a count identity."""
+    total = 0
+    for term in text.split(" + "):
+        factor, _, target = term.rpartition("·")
+        value = (FACTORS[target](p) if target in FACTORS
+                 else fast_count(p, parse_target(target)(p)))
+        total += FACTORS[factor or "1"](p) * value
+    return total
+
+
 def _count_identities(scope: str, config: RunConfig) -> list[dict]:
-    rows = []
-    if scope in ("blocks", "all"):
-        for p in config.primes:
-            n = p ** 3 - p
-            total = sum(count_x_stratum(p, s)
-                        for s in ("X0", "X1", "X2", "X3", "X4"))
-            rows.append({"name": "X strata sum to |SL2|^2", "p": p,
-                         "lhs": total, "rhs": n * n, "pass": total == n * n})
-        for p in IDENTITY_PRIMES:
-            for square in (True, False):
-                vals = sorted({
-                    count_commutator_fiber(p, SL2Element.diagonal(lam, p))
-                    for lam in range(2, p - 1)
-                    if is_square_mod(lam, p) == square})
-                cls = "square" if square else "nonsquare"
-                if not vals:
+    sides = []
+    for where, primes, rows in IDENTITY_ROWS:
+        if scope not in (where, "all"):
+            continue
+        for p in primes or config.primes:
+            for name, lhs, rhs, *only in rows:
+                fills = _lambda_fills(p, lhs + rhs)
+                if only and p not in only[0] or not fills:
                     continue
-                rows.append({"name": f"xi-fibers constant on {cls} lambdas",
-                             "p": p, "lhs": len(vals), "rhs": 1,
-                             "pass": len(vals) == 1})
-    if scope in ("zbar", "all"):
-        for p in IDENTITY_PRIMES:
-            for lam in range(2, p - 1):
-                lhs = count_zbar(p, ZbarCase("zbar34", lam))
-                rhs = count_zbar(p, ZbarCase("zbar24", (-lam) % p))
-                rows.append({"name": f"negation: Zbar34(lam={lam}) = Zbar24(-lam)",
-                             "p": p, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs})
-        p = 7
-        lhs = count_zbar(p, ZbarCase("zbar44", 2, 5))
-        rhs = count_zbar(p, ZbarCase("zbar44", 2, 3))
-        rows.append({"name": "Zbar44 special pair equals generic of same class pattern",
-                     "p": p, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs})
-    if scope in ("zfull", "all"):
-        specs = [("w0", W0), ("w1", W1), ("w2", W2), ("w3", W3),
-                 ("w4(2)", w4(2)), ("w4any", W4ANY)]
-        for p in IDENTITY_PRIMES:
-            for i, (n1, s1) in enumerate(specs):
-                for n2, s2 in specs[i + 1:]:
-                    lhs = count_z_full(p, s1, s2)
-                    rhs = count_z_full(p, s2, s1)
-                    rows.append({"name": f"symmetry: Z({n1},{n2}) = Z({n2},{n1})",
-                                 "p": p, "lhs": lhs, "rhs": rhs,
-                                 "pass": lhs == rhs})
-            lhs = count_z_full(p, W3, W3)
-            rhs = count_z_full(p, W2, W2)
-            rows.append({"name": "negation: Z(W3,W3) = Z(W2,W2)", "p": p,
-                         "lhs": lhs, "rhs": rhs, "pass": lhs == rhs})
-            lam = 2
-            lhs = count_z_full(p, W3, w4(lam))
-            rhs = count_z_full(p, W2, w4((-lam) % p))
-            rows.append({"name": "negation: Z(W3,W4(lam)) = Z(W2,W4(-lam))",
-                         "p": p, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs})
-            lhs = count_z_full(p, W2, W3)
-            rhs = (p * p - 1) * count_zbar(p, ZbarCase("zbar23"))
-            rows.append({"name": "fibration: Z23 = (p^2-1) Zbar23", "p": p,
-                         "lhs": lhs, "rhs": rhs, "pass": lhs == rhs})
-            lhs = count_z_full(p, W2, w4(2))
-            rhs = (p * p + p) * count_zbar(p, ZbarCase("zbar24", 2))
-            rows.append({"name": "fibration: Z24 = (p^2+p) Zbar24", "p": p,
-                         "lhs": lhs, "rhs": rhs, "pass": lhs == rhs})
-            pair = (2, 2) if p == 5 else (2, 3)
-            lhs = count_z_full(p, w4(pair[0]), w4(pair[1]))
-            rhs = (p * p + p) * count_zbar(p, ZbarCase("zbar44", *pair))
-            rows.append({"name": f"fibration: Z44{pair} = (p^2+p) Zbar44{pair}",
-                         "p": p, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs})
-    return rows
+                if lhs.startswith("#"):
+                    distinct = {_side(p, lhs[1:].format(**f)) for f in fills}
+                    sides.append((name, p, len(distinct), _side(p, rhs)))
+                else:
+                    sides += [(name.format(**f), p, _side(p, lhs.format(**f)),
+                               _side(p, rhs.format(**f))) for f in fills]
+    return [{"name": name, "p": p, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs}
+            for name, p, lhs, rhs in sides]
 
 
 def _evaluate_target(plan: TargetPlan, config: RunConfig) -> dict:
@@ -567,9 +576,9 @@ def parse_target(text: str):
         return make
     if low.startswith("zbar"):
         head, _, args = low.partition("=")
-        if head not in ("zbar22", "zbar23", "zbar24", "zbar34", "zbar44"):
+        if head not in ZBAR_ARITY:
             raise ConfigError(f"unknown barred case {head!r}")
-        want = {"zbar22": 0, "zbar23": 0, "zbar24": 1, "zbar34": 1, "zbar44": 2}[head]
+        want = ZBAR_ARITY[head]
         given = [_int(x) for x in args.split(",")] if args else []
         if given and len(given) != want:
             raise ConfigError(f"{head} takes {want} parameter(s)")
@@ -649,11 +658,7 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    try:
-        result = derive_case(args.case)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    result = derive_case(args.case)      # argparse has checked the case
     stated = stated_results()[args.case]
     if args.format == "json":
         payload = {
@@ -688,12 +693,8 @@ def cmd_derive(args) -> int:
 
 
 def cmd_count(args) -> int:
-    try:
-        config = _config_from(args)
-        make = parse_target(args.target)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    config = _config_from(args)
+    make = parse_target(args.target)
     rows = []
     for p in config.primes:
         spec = make(p)
@@ -730,12 +731,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        config = _config_from(args)
-        report = run_verification(args.scope, config)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    report = run_verification(args.scope, _config_from(args))
     if args.format == "json":
         _emit(json.dumps(report, indent=2), args.output)
     elif args.format == "csv":
@@ -849,8 +845,7 @@ def _report_text(report: dict) -> str:
         ref = t["reference"]["text"] if t["reference"] else "-"
         mark = "must" if t["must_match"] else "warn"
         lines.append(f"  [{t['verdict']:<16}] ({mark}) {t['id']}: reference {ref}")
-        if t["verdict"] == "quasi-polynomial" and isinstance(t["fit"], dict) \
-                and "branches" in t["fit"]:
+        if t["verdict"] == "quasi-polynomial":
             for r, b in t["fit"]["branches"].items():
                 lines.append(f"      branch p%{t['fit']['modulus']}=={r}: {b['text']}")
         elif t["verdict"] == "mismatch" and t["fit"]:

@@ -8,21 +8,22 @@ test-suite contract:
   character table, with the class sizes in closed form as well (see
   commutator_fiber_distribution).  It never builds the p^3-row group
   table.  Barred and full sets share one kernel,
-  _fiber_sum(p, S, [(n, T), ...]) = sum n * sum_{C in S} fiber(T C), one
-  vectorised pass per T over the O(p^2) members of the geometric class S
-  that sl2.class_members generates trace by trace:
+  _fiber_sum(p, S, T) = sum_{C in S} fiber(T C), one vectorised pass over
+  the O(p^2) members of the geometric class S that sl2.class_members
+  generates trace by trace:
   - barred sets: C = [A,B]^{-1} T forces [A,B] = T C^{-1}, and every
     geometric class is closed under inversion (trace and ±Id are
-    preserved), so the count is _fiber_sum(p, S, [(1, T)]);
+    preserved), so the count is _fiber_sum(p, S, T);
   - full sets: [A,B] = (C1 C2)^{-1} and fiber(g^{-1}) = fiber(g) because
     [A,B]^{-1} = [B,A], so Z(S1, S2) = sum fiber(C1 C2) over S1 x S2.  The
     sum over C2 is constant on GL(2,F_p)-orbits of C1 (fiber and S2 are
     both conjugation invariant), and W0..W3 and W4(lam) are one orbit
     each, so C1 is the class representative weighted by the class size.
     W4any is not one orbit, but it is G minus W0..W3, and fiber(C1 C2)
-    summed over every C1 in G is |G|^2; Z is symmetric, so W4any is moved
-    to the first slot and Z(W4any, S) = |S| |G|^2 - sum_k Z(Wk, S).  Its
-    p^3 members then never go through a pass unless both classes are W4any;
+    summed over every C2 in G is |G|^2.  Z is symmetric, so W4any goes to
+    the second slot and Z(S, W4any) = |S| |G|^2 - sum_k Z(S, Wk), which
+    recurses once more when S is W4any too.  Each Z(S, Wk) passes over
+    the smaller of its two classes, and no pass reads W4any's p^3 members;
 * the brute-force oracle enumerates pairs (A,B) directly with no class
   theory at all, guarded to small primes.  It works on row indices of the
   group table: a per-prime multiplication table (_cayley) turns every
@@ -49,6 +50,7 @@ constraint on the second.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,7 +83,7 @@ class CommutatorFiber:
                 "target": list(self.target.entries())}
 
 
-ZBAR_CASES = ("zbar22", "zbar23", "zbar24", "zbar34", "zbar44")
+ZBAR_ARITY = {"zbar22": 0, "zbar23": 0, "zbar24": 1, "zbar34": 1, "zbar44": 2}
 X_STRATA = ("X0", "X1", "X2", "X3", "X4")
 
 
@@ -101,12 +103,11 @@ class ZbarCase:
     lam2: int | None = None
 
     def __post_init__(self):
-        if self.case not in ZBAR_CASES:
+        if self.case not in ZBAR_ARITY:
             raise ValueError(f"unknown barred case {self.case!r}")
-        needs = {"zbar22": 0, "zbar23": 0, "zbar24": 1, "zbar34": 1, "zbar44": 2}
         got = (self.lam1 is not None) + (self.lam2 is not None)
-        if got != needs[self.case]:
-            raise ValueError(f"{self.case} takes {needs[self.case]} parameter(s)")
+        if got != ZBAR_ARITY[self.case]:
+            raise ValueError(f"{self.case} takes {ZBAR_ARITY[self.case]} parameter(s)")
         if self.lam2 is not None and self.lam1 is None:
             raise ValueError("lam2 given without lam1")
 
@@ -321,18 +322,18 @@ def membership_mask(table: GroupTable, M: np.ndarray,
     return t == tm
 
 
-def _fiber_sum(p: int, spec: GeometricClass,
-               weighted: list[tuple[int, SL2Element]]) -> int:
-    """sum over (n, T) of n * sum over C in spec of fiber(T C)."""
+@lru_cache(maxsize=None)
+def _fiber_lut(p: int) -> np.ndarray:
+    """fiber by rational class code (sl2.label_of_code); 0 at unused codes."""
     dist = commutator_fiber_distribution(p)
-    lut = np.array([dist.fibers.get(label_of_code(p, code), 0)
-                    for code in range(6 + 2 * p)], dtype=np.int64)
-    members = class_members(p, spec)
-    total = 0
-    for n, T in weighted:
-        TC = mat_mul(p, np.array(T.entries(), dtype=np.int64), members)
-        total += n * int(lut[label_codes(p, TC)].sum())
-    return total
+    return np.array([dist.fibers.get(label_of_code(p, code), 0)
+                     for code in range(6 + 2 * p)], dtype=np.int64)
+
+
+def _fiber_sum(p: int, spec: GeometricClass, T: SL2Element) -> int:
+    """sum over C in spec of fiber(T C)."""
+    TC = mat_mul(p, np.array(T.entries(), dtype=np.int64), class_members(p, spec))
+    return int(_fiber_lut(p)[label_codes(p, TC)].sum())
 
 
 def count_zbar(p: int, case: ZbarCase) -> int:
@@ -340,23 +341,25 @@ def count_zbar(p: int, case: ZbarCase) -> int:
     closed under inversion (trace and ±Id are preserved): C replaces C^{-1}."""
     if p < 5:
         raise ValueError("barred-set counts need p >= 5")
-    return _fiber_sum(p, case.predicate_class(p), [(1, case.target_matrix(p))])
+    return _fiber_sum(p, case.predicate_class(p), case.target_matrix(p))
 
 
 def count_z_full(p: int, spec1: GeometricClass, spec2: GeometricClass) -> int:
     """Sum of fiber((C1 C2)^{-1}) = fiber(C1 C2) over the two classes.
 
     Every class but W4any is one GL(2,F_p)-orbit, so C1 is its representative
-    weighted by its size.  Z is symmetric, so W4any goes first, and there it
-    is G minus W0..W3: fiber(C1 C2) summed over all C1 in G is |G|^2.
+    weighted by its size.  Z is symmetric, so W4any goes second, and there
+    it is G minus W0..W3: fiber(C1 C2) summed over all C2 in G is |G|^2.
     """
-    if spec2.kind == "W4any":
+    if spec1.kind == "W4any":
         spec1, spec2 = spec2, spec1
-    if spec1.kind != "W4any":
-        return _fiber_sum(p, spec2, [(spec1.size(p), spec1.representative(p))])
+    if spec2.kind != "W4any":
+        return spec1.size(p) * _fiber_sum(p, spec2, spec1.representative(p))
     n = p ** 3 - p
-    rest = [(w.size(p), w.representative(p)) for w in (W0, W1, W2, W3)]
-    return spec2.size(p) * n * n - _fiber_sum(p, spec2, rest)
+    # Z(S, Wk) = Z(Wk, S): pass over the smaller of the two classes
+    return spec1.size(p) * n * n - sum(
+        count_z_full(p, *sorted((spec1, w), key=lambda s: -s.size(p)))
+        for w in (W0, W1, W2, W3))
 
 
 def count_x_stratum(p: int, name: str) -> int:

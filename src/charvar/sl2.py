@@ -299,12 +299,6 @@ def w4(lam: int) -> GeometricClass:
     return GeometricClass("W4", lam)
 
 
-def geometric_members(p: int, spec: GeometricClass) -> list[SL2Element]:
-    """Elements of the geometric class over F_p, in enumeration order (which
-    is lexicographic in the entries)."""
-    return [SL2Element(*m, p) for m in sorted(class_members(p, spec).tolist())]
-
-
 # ---------------------------------------------------------------------------
 # vectorized arithmetic on (..., 4) int64 arrays of entries mod p
 
@@ -411,7 +405,7 @@ def _sl2_rows(p: int) -> np.ndarray:
 
 
 class GroupTable:
-    """SL(2,F_p) as numpy arrays with per-element class codes.
+    """SL(2,F_p) as a (p^3 - p, 4) numpy array of entries.
 
     Rows follow enumerate_sl2 order.  The fast counting path never builds
     one; it serves the brute-force oracle and the tests.
@@ -422,7 +416,6 @@ class GroupTable:
         self.p = p
         self.elements = _sl2_rows(p)
         self.n = len(self.elements)
-        self.codes = label_codes(p, self.elements)
 
 
 @lru_cache(maxsize=None)

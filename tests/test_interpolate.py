@@ -7,13 +7,13 @@ from charvar.epoly import EPolynomial, Q
 from charvar.interpolate import (EXACT, INCONSISTENT, QUASI, FitError,
                                  InsufficientPointsError, NonIntegralFitError,
                                  compare, consistency_check, lagrange_fit)
-from charvar.sl2 import W2, geometric_members
+from charvar.sl2 import W2, class_members
 
 PANEL = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
 def test_fit_w2_sizes():
-    records = [(p, len(geometric_members(p, W2))) for p in (5, 7, 11)]
+    records = [(p, len(class_members(p, W2))) for p in (5, 7, 11)]
     assert records == [(5, 24), (7, 48), (11, 120)]
     assert lagrange_fit(records, 2) == Q ** 2 - 1
 

@@ -6,8 +6,8 @@ import pytest
 from charvar.sl2 import (CENTRAL_MINUS, CENTRAL_PLUS, NONSPLIT, NONSQUARE,
                          SPLIT, SQUARE, UNIPOTENT_PLUS,
                          GeometricClass, SL2Element,
-                         centralizer_order, commutator, enumerate_sl2,
-                         geometric_members, group_table, inverse_mod,
+                         centralizer_order, class_members, commutator,
+                         enumerate_sl2, group_table, inverse_mod, label_codes,
                          label_of_code, rational_class_of, w4,
                          W0, W1, W2, W3, W4ANY)
 
@@ -214,6 +214,11 @@ def test_orbit_partition(p):
 # geometric classes
 
 
+def geometric_members(p, spec):
+    """The generated members of a class, as elements in lexicographic order."""
+    return [SL2Element(*m, p) for m in sorted(class_members(p, spec).tolist())]
+
+
 def test_w0_members():
     for p in (5, 7):
         members = geometric_members(p, W0)
@@ -288,9 +293,10 @@ def test_w4_members_form_one_split_label(p):
 @pytest.mark.parametrize("p", [5, 7])
 def test_group_table_label_codes_agree_with_scalar_labels(p):
     table = group_table(p)
+    codes = label_codes(p, table.elements)
     for row in range(table.n):
         m = SL2Element(*table.elements[row].tolist(), p)
-        assert label_of_code(p, int(table.codes[row])) == rational_class_of(m)
+        assert label_of_code(p, int(codes[row])) == rational_class_of(m)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
