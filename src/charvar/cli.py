@@ -14,6 +14,7 @@ import io
 import json
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .counting import (ZBAR_ARITY, CommutatorFiber, DiagonalCommutatorFiber,
@@ -25,8 +26,7 @@ from .hodge import (compact_betti_from_poincare, default_instance,
 from .interpolate import (EXACT, QUASI, FitError, compare, consistency_check,
                           lagrange_fit)
 from .sl2 import (MAX_ENUM_PRIME, GeometricClass, SL2Element, W0, W1, W2, W3,
-                  W4ANY, class_members, inverse_mod, is_odd_prime,
-                  is_square_mod, w4)
+                  W4ANY, class_members, is_odd_prime, is_square_mod, w4)
 from .strata import (CASE_IDS, building_blocks, derive_case,
                      stated_results, stated_zbar_totals,
                      z_reduction_references)
@@ -64,27 +64,21 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# lambda policies
+# lambda fills
 
-
-def smallest_lambda(p: int, square: bool | None = None) -> int | None:
-    """Smallest admissible lam, optionally restricted to a square class."""
-    for lam in range(2, p - 1):
-        if square is None or is_square_mod(lam, p) == square:
-            return lam
-    return None
-
-
-def generic_pair(p: int, same_class: bool) -> tuple[int, int] | None:
-    """Lexicographically first generic (lam1, lam2) with matching or
-    crossing square classes."""
-    for l1 in range(2, p - 1):
-        for l2 in range(2, p - 1):
-            if l2 in (l1, inverse_mod(l1, p)) or l2 == (-l1) % p:
-                continue
-            if (is_square_mod(l1, p) == is_square_mod(l2, p)) == same_class:
-                return l1, l2
-    return None
+# The placeholders a plan template or an identity row may carry, each with
+# its skip reason at a prime where it has no fill.  {lam} runs over the
+# admissible lambdas and {square} / {nonsquare} over one square class;
+# {same}, {cross} and {special} run over the pairs "l1,l2" of one zbar44
+# regime, a generic pair split by whether the square classes match.
+PLACEHOLDERS = {
+    "lam": "no admissible lambda",
+    "square": "no admissible lambda in this square class",
+    "nonsquare": "no admissible lambda in this square class",
+    "same": "no generic pair in this class pattern",
+    "cross": "no generic pair in this class pattern",
+    "special": "lam2 = -lam1 is not a special pair here",
+}
 
 
 @dataclass
@@ -92,35 +86,38 @@ class Skip:
     reason: str
 
 
-def fill_template(template: str, policy: str, p: int) -> "str | Skip":
-    """A plan row's target text at p: the template's {} slots filled by the
-    lambda policy (none, smallest, equal, square, nonsquare, generic-same,
-    generic-cross, special)."""
-    if policy == "none":
-        return template
-    if policy in ("smallest", "equal"):
-        lam = smallest_lambda(p)
-        if lam is None:
-            return Skip("no admissible lambda")
-        return template.format(lam, lam)
-    if policy in ("square", "nonsquare"):
-        lam = smallest_lambda(p, square=policy == "square")
-        if lam is None:
-            return Skip("no admissible lambda in this square class")
-        return template.format(lam)
-    if policy in ("generic-same", "generic-cross"):
-        pair = generic_pair(p, same_class=policy == "generic-same")
-        if pair is None:
-            return Skip("no generic pair in this class pattern")
-        return template.format(*pair)
-    if policy != "special":
-        raise ValueError(f"unknown lambda policy {policy!r}")
-    try:
-        if ZbarCase("zbar44", 2, -2).regime(p) != "special":
-            return Skip("lam2 = -lam1 is not a special pair here")
-    except ValueError:
-        return Skip("no admissible special pair")
-    return template.format(2 % p, -2 % p)
+def _placeholder(text: str) -> str | None:
+    return next((key for key in PLACEHOLDERS if "{" + key + "}" in text), None)
+
+
+def lambda_fills(text: str, p: int) -> Iterator[dict]:
+    """The format mappings of text's placeholder at p, in ascending order;
+    one empty mapping if text has none."""
+    key = _placeholder(text)
+    lams = range(2, p - 1)
+    if key is None:
+        yield {}
+    elif key in ("lam", "square", "nonsquare"):
+        for lam in lams:
+            if key == "lam" or is_square_mod(lam, p) == (key == "square"):
+                yield {key: lam}
+    else:
+        for l1 in lams:
+            for l2 in (p - l1,) if key == "special" else lams:
+                regime = ZbarCase("zbar44", l1, l2).regime(p)
+                if regime == "generic":
+                    same = is_square_mod(l1, p) == is_square_mod(l2, p)
+                    regime = "same" if same else "cross"
+                if regime == key:
+                    yield {key: f"{l1},{l2}"}
+
+
+def fill(text: str, p: int) -> "str | Skip":
+    """text with its placeholder given the first fill at p, or the
+    placeholder's skip reason where p has none."""
+    for mapping in lambda_fills(text, p):
+        return text.format(**mapping)
+    return Skip(PLACEHOLDERS[_placeholder(text)])
 
 
 # ---------------------------------------------------------------------------
@@ -130,23 +127,23 @@ def fill_template(template: str, policy: str, p: int) -> "str | Skip":
 @dataclass(frozen=True)
 class TargetPlan:
     """One verification target: a `charvar count` target template, or a
-    class (w2, w4={}) whose size is counted, filled per prime by a policy."""
+    class (w2, w4={lam}) whose size is counted, given its first fill per
+    prime."""
     id: str
     degree: int
     reference: EPolynomial | None
     template: str
-    policy: str = "none"
     must_match: bool = False
     brute_prime: int | None = None    # oracle prime for a non-match verdict
     params: dict = field(default_factory=dict)
 
     def spec(self, p: int) -> "TargetSpec | GeometricClass | Skip":
-        text = fill_template(self.template, self.policy, p)
+        text = fill(self.template, p)
         if isinstance(text, Skip):
             return text
         if self.template.startswith("w"):
             return parse_class(text)
-        return parse_target(text)(p)
+        return parse_target(text, p)
 
     def count(self, p: int) -> "int | Skip":
         spec = self.spec(p)
@@ -167,15 +164,15 @@ def verification_plan(scope: str) -> list[TargetPlan]:
     table = {
         "blocks": [
             T("W2-size", 2, b.w2, "w2", must_match=True),
-            T("W4lam-size", 2, b.w4lam, "w4={}", "smallest", must_match=True,
+            T("W4lam-size", 2, b.w4lam, "w4={lam}", must_match=True,
               params={"lambda": "smallest admissible"}),
             T("X0", 4, b.x0, "xstratum:X0", must_match=True, brute_prime=5),
             T("X1", 3, b.x1, "xstratum:X1", must_match=True, brute_prime=5),
             T("Xbar2", 3, b.xbar2, "commfiber:j+", must_match=True, brute_prime=5),
             T("Xbar3", 3, b.xbar3, "commfiber:j-", brute_prime=7),
-            T("Xbar4lam[qr]", 3, b.xbar4lam, "commfiber:xi={}", "square",
+            T("Xbar4lam[qr]", 3, b.xbar4lam, "commfiber:xi={square}",
               brute_prime=7, params=sq),
-            T("Xbar4lam[qnr]", 3, b.xbar4lam, "commfiber:xi={}", "nonsquare",
+            T("Xbar4lam[qnr]", 3, b.xbar4lam, "commfiber:xi={nonsquare}",
               brute_prime=5, params=nsq),
             T("X2", 5, b.x2, "xstratum:X2", must_match=True, brute_prime=5),
             T("X3", 5, b.x3, "xstratum:X3", brute_prime=7),
@@ -184,23 +181,22 @@ def verification_plan(scope: str) -> list[TargetPlan]:
         "zbar": [
             T("Zbar22", 5, zb["J+J+"], "zbar22", brute_prime=5),
             T("Zbar23", 5, zb["J+J-"], "zbar23", brute_prime=5),
-            T("Zbar24[qr]", 5, zb["J+xi"], "zbar24={}", "square", brute_prime=7,
+            T("Zbar24[qr]", 5, zb["J+xi"], "zbar24={square}", brute_prime=7,
               params=sq),
-            T("Zbar24[qnr]", 5, zb["J+xi"], "zbar24={}", "nonsquare", brute_prime=5,
+            T("Zbar24[qnr]", 5, zb["J+xi"], "zbar24={nonsquare}", brute_prime=5,
               params=nsq),
-            T("Zbar34[qr]", 5, zb["J+xi"], "zbar34={}", "square", brute_prime=7,
+            T("Zbar34[qr]", 5, zb["J+xi"], "zbar34={square}", brute_prime=7,
               params=sq),
-            T("Zbar34[qnr]", 5, zb["J+xi"], "zbar34={}", "nonsquare", brute_prime=5,
+            T("Zbar34[qnr]", 5, zb["J+xi"], "zbar34={nonsquare}", brute_prime=5,
               params=nsq),
-            T("Zbar44[equal]", 5, zb["xixi-equal"], "zbar44={},{}", "equal",
+            T("Zbar44[equal]", 5, zb["xixi-equal"], "zbar44={lam},{lam}",
               brute_prime=5, params={"lambda": "smallest admissible, equal pair"}),
-            T("Zbar44[generic-same]", 5, zb["xixi-generic"], "zbar44={},{}",
-              "generic-same",
+            T("Zbar44[generic-same]", 5, zb["xixi-generic"], "zbar44={same}",
               params={"pair": "first generic pair, matching square classes"}),
-            T("Zbar44[generic-cross]", 5, zb["xixi-generic"], "zbar44={},{}",
-              "generic-cross", brute_prime=7,
+            T("Zbar44[generic-cross]", 5, zb["xixi-generic"], "zbar44={cross}",
+              brute_prime=7,
               params={"pair": "first generic pair, crossed square classes"}),
-            T("Zbar44[special]", 5, zb["xixi-generic"], "zbar44={},{}", "special",
+            T("Zbar44[special]", 5, zb["xixi-generic"], "zbar44={special}",
               brute_prime=7, params={"pair": "(2, -2)"}),
         ],
         "zfull": [
@@ -211,25 +207,25 @@ def verification_plan(scope: str) -> list[TargetPlan]:
             T("Z03", 5, zr["Z03"], "zfull:w0,w3", brute_prime=7),
             T("Z12", 5, zr["Z12"], "zfull:w1,w2", brute_prime=7),
             T("Z13", 5, zr["Z13"], "zfull:w1,w3", must_match=True),
-            T("Z04lam[qr]", 5, zr["Z04lam"], "zfull:w0,w4={}", "square",
+            T("Z04lam[qr]", 5, zr["Z04lam"], "zfull:w0,w4={square}",
               brute_prime=7, params=sq),
-            T("Z04lam[qnr]", 5, zr["Z04lam"], "zfull:w0,w4={}", "nonsquare",
+            T("Z04lam[qnr]", 5, zr["Z04lam"], "zfull:w0,w4={nonsquare}",
               brute_prime=5, params=nsq),
-            T("Z14lam[qr]", 5, zr["Z14lam"], "zfull:w1,w4={}", "square",
+            T("Z14lam[qr]", 5, zr["Z14lam"], "zfull:w1,w4={square}",
               brute_prime=7, params=sq),
-            T("Z14lam[qnr]", 5, zr["Z14lam"], "zfull:w1,w4={}", "nonsquare",
+            T("Z14lam[qnr]", 5, zr["Z14lam"], "zfull:w1,w4={nonsquare}",
               brute_prime=5, params=nsq),
             T("Z23", 7, b.w2 * zb["J+J-"], "zfull:w2,w3", brute_prime=5),
-            T("Z24lam[qr]", 7, b.w4lam * zb["J+xi"], "zfull:w2,w4={}", "square",
+            T("Z24lam[qr]", 7, b.w4lam * zb["J+xi"], "zfull:w2,w4={square}",
               brute_prime=7, params=sq),
-            T("Z24lam[qnr]", 7, b.w4lam * zb["J+xi"], "zfull:w2,w4={}", "nonsquare",
+            T("Z24lam[qnr]", 7, b.w4lam * zb["J+xi"], "zfull:w2,w4={nonsquare}",
               brute_prime=5, params=nsq),
-            T("Z34lam[qr]", 7, b.w4lam * zb["J+xi"], "zfull:w3,w4={}", "square",
+            T("Z34lam[qr]", 7, b.w4lam * zb["J+xi"], "zfull:w3,w4={square}",
               brute_prime=7, params=sq),
-            T("Z34lam[qnr]", 7, b.w4lam * zb["J+xi"], "zfull:w3,w4={}", "nonsquare",
+            T("Z34lam[qnr]", 7, b.w4lam * zb["J+xi"], "zfull:w3,w4={nonsquare}",
               brute_prime=5, params=nsq),
-            T("Z44[equal]", 7, b.w4lam * zb["xixi-equal"], "zfull:w4={},w4={}",
-              "equal", brute_prime=5, params={"pair": "equal smallest admissible"}),
+            T("Z44[equal]", 7, b.w4lam * zb["xixi-equal"], "zfull:w4={lam},w4={lam}",
+              brute_prime=5, params={"pair": "equal smallest admissible"}),
         ],
     }
     return [plan for name, rows in table.items()
@@ -266,9 +262,9 @@ def _symbolic_identities() -> list[dict]:
 # prime by prime over primes, or over the run's panel when None.  A row is
 # (name, lhs, rhs[, its only primes]).  A side sums "A + B" terms: a FACTORS
 # entry, a `charvar count` target, or a factor times a target, as in
-# "(p²+p)·zbar24=2".  {lam} runs over the admissible lambdas, one row each,
-# and {square} / {nonsquare} over one square class; a "#" side counts the
-# distinct values it takes there, and the row is dropped if there are none.
+# "(p²+p)·zbar24=2".  A row carrying a placeholder runs over its fills, one
+# row each; a "#" side counts the distinct values it takes there, and the
+# row is dropped if there are none.
 FACTORS = {"1": lambda p: 1, "(p²-1)": lambda p: p * p - 1,
            "(p²+p)": lambda p: p * p + p, "|G|²": lambda p: (p ** 3 - p) ** 2}
 _CLASSES = [("w0", "w0"), ("w1", "w1"), ("w2", "w2"), ("w3", "w3"),
@@ -302,22 +298,13 @@ IDENTITY_ROWS = (
 )
 
 
-def _lambda_fills(p: int, text: str) -> list[dict]:
-    """A format mapping per lambda of the placeholder in text; [{}] if none."""
-    for key, square in (("lam", None), ("square", True), ("nonsquare", False)):
-        if "{" + key + "}" in text:
-            return [{key: lam} for lam in range(2, p - 1)
-                    if square is None or is_square_mod(lam, p) == square]
-    return [{}]
-
-
 def _side(p: int, text: str) -> int:
     """The value at p of one side of a count identity."""
     total = 0
     for term in text.split(" + "):
         factor, _, target = term.rpartition("·")
         value = (FACTORS[target](p) if target in FACTORS
-                 else fast_count(p, parse_target(target)(p)))
+                 else fast_count(p, parse_target(target, p)))
         total += FACTORS[factor or "1"](p) * value
     return total
 
@@ -329,7 +316,7 @@ def _count_identities(scope: str, config: RunConfig) -> list[dict]:
             continue
         for p in primes or config.primes:
             for name, lhs, rhs, *only in rows:
-                fills = _lambda_fills(p, lhs + rhs)
+                fills = list(lambda_fills(lhs + rhs, p))
                 if only and p not in only[0] or not fills:
                     continue
                 if lhs.startswith("#"):
@@ -355,7 +342,7 @@ def _evaluate_target(plan: TargetPlan, config: RunConfig) -> dict:
                             "skipped": result.reason})
         else:
             records.append({"p": p, "count": int(result), "method": "fast",
-                            "ms": ms})
+                            "ms": ms if config.timings else None})
             usable.append((p, int(result)))
 
     entry = {
@@ -501,7 +488,7 @@ def run_verification(scope: str, config: RunConfig) -> dict:
                    and t.get("brute_confirmed") is False]
     exit_code = 1 if (must_failures or identity_failures or unconfirmed) else 0
 
-    report = {
+    return {
         "schema": REPORT_SCHEMA,
         "config": {
             "scope": scope,
@@ -522,11 +509,6 @@ def run_verification(scope: str, config: RunConfig) -> dict:
             "exit_code": exit_code,
         },
     }
-    if not config.timings:
-        for t in report["targets"]:
-            for rec in t["records"]:
-                rec["ms"] = None
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -550,87 +532,70 @@ def parse_class(text: str) -> GeometricClass:
     raise ConfigError(f"unknown class {text!r} (use w0|w1|w2|w3|w4any|w4=LAM)")
 
 
-def parse_target(text: str):
-    """Target string -> callable p -> TargetSpec | Skip."""
+def parse_target(text: str, p: int) -> "TargetSpec | Skip":
+    """The set a `charvar count` target names at p, or why p has none."""
     text = text.strip()
     low = text.lower()
     if low.startswith("commfiber:"):
         what = low.split(":", 1)[1]
         fixed = {"id": SL2Element.identity, "-id": SL2Element.minus_identity,
                  "j+": SL2Element.jplus, "j-": SL2Element.jminus}
-        def make(p):
-            if what in fixed:
-                return CommutatorFiber(fixed[what](p))
-            if what.startswith("xi="):
-                lam = _int(what[3:]) % p
-                if lam in (0, 1, p - 1):
-                    return Skip(f"lambda {what[3:]} is 0 or ±1 mod {p}")
-            elif what == "xi":
-                lam = smallest_lambda(p)
-                if lam is None:
-                    return Skip("no admissible lambda")
-            else:
-                raise ConfigError(f"unknown commutator-fiber target {what!r}")
-            return CommutatorFiber(SL2Element.diagonal(lam, p))
-        make(5)  # validate early against a sample prime
-        return make
+        if what in fixed:
+            return CommutatorFiber(fixed[what](p))
+        if what == "xi":
+            what = fill("xi={lam}", p)
+            if isinstance(what, Skip):
+                return what
+        if not what.startswith("xi="):
+            raise ConfigError(f"unknown commutator-fiber target {what!r}")
+        lam = _int(what[3:]) % p
+        if lam in (0, 1, p - 1):
+            return Skip(f"lambda {what[3:]} is 0 or ±1 mod {p}")
+        return CommutatorFiber(SL2Element.diagonal(lam, p))
     if low.startswith("zbar"):
         head, _, args = low.partition("=")
         if head not in ZBAR_ARITY:
             raise ConfigError(f"unknown barred case {head!r}")
         want = ZBAR_ARITY[head]
-        given = [_int(x) for x in args.split(",")] if args else []
-        if given and len(given) != want:
+        lams = [_int(x) for x in args.split(",")] if args else []
+        if lams and len(lams) != want:
             raise ConfigError(f"{head} takes {want} parameter(s)")
-        def make(p):
-            if p < 5:
-                return Skip("barred-set counts need p >= 5")
-            lams = given
-            if not lams and want:
-                lam = smallest_lambda(p)
-                if lam is None:
-                    return Skip("no admissible lambda")
-                lams = [lam] * want
-            case = ZbarCase(head, *lams)
-            try:
-                case.target_matrix(p)
-            except ValueError as e:
-                return Skip(str(e))
-            return case
-        return make
+        if p < 5:
+            return Skip("barred-set counts need p >= 5")
+        if not lams and want:      # p >= 5 always has a first {lam}
+            lams = [int(fill("{lam}", p))] * want
+        case = ZbarCase(head, *lams)
+        try:
+            case.target_matrix(p)
+        except ValueError as e:
+            return Skip(str(e))
+        return case
     if low.startswith("zfull:"):
-        body = text.split(":", 1)[1]
-        parts = body.split(",")
+        parts = text.split(":", 1)[1].split(",")
         if len(parts) != 2:
             raise ConfigError("zfull takes exactly two classes: zfull:CLS,CLS")
         s1, s2 = parse_class(parts[0]), parse_class(parts[1])
-        def make(p):
-            for s in (s1, s2):
-                if s.kind == "W4":
-                    try:
-                        s.lam_mod(p)
-                    except ValueError as e:
-                        return Skip(str(e))
-            return ZFull(s1, s2)
-        return make
+        for s in (s1, s2):
+            if s.kind == "W4":
+                try:
+                    s.lam_mod(p)
+                except ValueError as e:
+                    return Skip(str(e))
+        return ZFull(s1, s2)
     if low.startswith("xstratum:"):
-        tag = text.split(":", 1)[1].upper()
         try:
-            spec = XStratum(tag)
+            return XStratum(text.split(":", 1)[1].upper())
         except ValueError as e:
             raise ConfigError(str(e)) from None
-        return lambda p: spec
     if low.startswith("dcfiber="):
         args = [_int(x) for x in low.split("=", 1)[1].split(",")]
         if len(args) not in (3, 4):
             raise ConfigError("dcfiber=LAM,MU,T2[,T1]")
-        def make(p):
-            lam, mu, t2 = args[0] % p, args[1] % p, args[2] % p
-            if lam in (0, 1, p - 1) or mu in (0, 1, p - 1):
-                return Skip("lam and mu must avoid {0, ±1} mod p")
-            t1 = args[3] % p if len(args) == 4 else None
-            return DiagonalCommutatorFiber(lam, mu, t2, t1)
-        return make
+        lam, mu, t2 = args[0] % p, args[1] % p, args[2] % p
+        if lam in (0, 1, p - 1) or mu in (0, 1, p - 1):
+            return Skip("lam and mu must avoid {0, ±1} mod p")
+        t1 = args[3] % p if len(args) == 4 else None
+        return DiagonalCommutatorFiber(lam, mu, t2, t1)
     raise ConfigError(f"cannot parse target {text!r}")
 
 
@@ -641,11 +606,8 @@ def parse_target(text: str):
 def cmd_blocks(args) -> int:
     table = building_blocks()
     checks = table.identity_checks()
-    if args.format == "json":
-        payload = {"blocks": {k: _poly_json(v) for k, v in table.as_dict().items()},
-                   "identities": [{"name": k, "pass": v} for k, v in checks.items()]}
-        _emit(json.dumps(payload, indent=2), args.output)
-        return 0
+    payload = {"blocks": {k: _poly_json(v) for k, v in table.as_dict().items()},
+               "identities": [{"name": k, "pass": v} for k, v in checks.items()]}
     lines = ["building blocks (E-polynomials in q):"]
     width = max(len(k) for k in table.as_dict())
     for name, poly in table.as_dict().items():
@@ -653,28 +615,24 @@ def cmd_blocks(args) -> int:
     lines.append("identity checks:")
     for name, ok in checks.items():
         lines.append(f"  [{'pass' if ok else 'FAIL'}] {name}")
-    _emit("\n".join(lines), args.output)
-    return 0 if all(checks.values()) else 1
+    return _emit(args, payload, "\n".join(lines), 0 if all(checks.values()) else 1)
 
 
 def cmd_derive(args) -> int:
     result = derive_case(args.case)      # argparse has checked the case
     stated = stated_results()[args.case]
-    if args.format == "json":
-        payload = {
-            "case": result.case,
-            "strata": [{"name": n, "value": _poly_json(v)} for n, v in result.strata],
-            "zbar": _poly_json(result.zbar),
-            "reducible_locus": _poly_json(result.reducible_locus),
-            "zbar_star": _poly_json(result.zbar_star),
-            "divisor": _poly_json(result.quotient_divisor),
-            "correction": _poly_json(result.quotient_correction),
-            "e_moduli": _poly_json(result.e_moduli),
-            "has_reducibles": result.has_reducibles,
-            "matches_stated_result": result.e_moduli == stated,
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
-        return 0 if result.e_moduli == stated else 1
+    payload = {
+        "case": result.case,
+        "strata": [{"name": n, "value": _poly_json(v)} for n, v in result.strata],
+        "zbar": _poly_json(result.zbar),
+        "reducible_locus": _poly_json(result.reducible_locus),
+        "zbar_star": _poly_json(result.zbar_star),
+        "divisor": _poly_json(result.quotient_divisor),
+        "correction": _poly_json(result.quotient_correction),
+        "e_moduli": _poly_json(result.e_moduli),
+        "has_reducibles": result.has_reducibles,
+        "matches_stated_result": result.e_moduli == stated,
+    }
     lines = [f"case {result.case}:"]
     for name, value in result.strata:
         lines.append(f"  {name:<40} {value}")
@@ -688,16 +646,14 @@ def cmd_derive(args) -> int:
     lines.append(f"  {'e(R)':<40} {result.e_moduli}")
     lines.append(f"  stated result check: "
                  f"{'pass' if result.e_moduli == stated else 'FAIL'}")
-    _emit("\n".join(lines), args.output)
-    return 0 if result.e_moduli == stated else 1
+    return _emit(args, payload, "\n".join(lines), 0 if result.e_moduli == stated else 1)
 
 
 def cmd_count(args) -> int:
     config = _config_from(args)
-    make = parse_target(args.target)
     rows = []
     for p in config.primes:
-        spec = make(p)
+        spec = parse_target(args.target, p)
         if isinstance(spec, Skip):
             rows.append({"p": p, "target": args.target, "skipped": spec.reason})
             continue
@@ -715,30 +671,19 @@ def cmd_count(args) -> int:
                      "method": args.method,
                      "ms": ms if config.timings else None,
                      "params": spec.describe()})
-    if args.format == "json":
-        _emit(json.dumps({"records": rows}, indent=2), args.output)
-    elif args.format == "csv":
-        _emit(_records_csv(rows), args.output)
-    else:
-        lines = []
-        for r in rows:
-            if "skipped" in r:
-                lines.append(f"p={r['p']:<3} skipped: {r['skipped']}")
-            else:
-                lines.append(f"p={r['p']:<3} count={r['count']} ({r['method']})")
-        _emit("\n".join(lines), args.output)
-    return 0
+    lines = []
+    for r in rows:
+        if "skipped" in r:
+            lines.append(f"p={r['p']:<3} skipped: {r['skipped']}")
+        else:
+            lines.append(f"p={r['p']:<3} count={r['count']} ({r['method']})")
+    return _emit(args, {"records": rows}, "\n".join(lines), to_csv=_records_csv)
 
 
 def cmd_verify(args) -> int:
     report = run_verification(args.scope, _config_from(args))
-    if args.format == "json":
-        _emit(json.dumps(report, indent=2), args.output)
-    elif args.format == "csv":
-        _emit(_report_csv(report), args.output)
-    else:
-        _emit(_report_text(report), args.output)
-    return report["summary"]["exit_code"]
+    return _emit(args, report, _report_text(report),
+                 report["summary"]["exit_code"], _report_csv)
 
 
 def cmd_hodge(args) -> int:
@@ -763,9 +708,6 @@ def cmd_hodge(args) -> int:
     }
     if args.dump_tables:
         payload["tables"] = [[list(row) for row in t.h] for t in tables]
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.output)
-        return 0
     lines = [f"solutions: {len(tables)} table(s) "
              f"(weight bound {'off' if args.no_weight_bound else 'on'})"]
     if args.no_weight_bound:
@@ -782,8 +724,7 @@ def cmd_hodge(args) -> int:
             lines.append(f"table {i}:")
             for k, row in enumerate(t.h):
                 lines.append(f"  k={k}: {list(row)}")
-    _emit("\n".join(lines), args.output)
-    return 0
+    return _emit(args, payload, "\n".join(lines))
 
 
 def cmd_probe(args) -> int:
@@ -793,9 +734,6 @@ def cmd_probe(args) -> int:
     except ValueError as e:     # ConfigError, or a prime below 5
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        _emit(json.dumps({"probe": reports}, indent=2), args.output)
-        return 0
     lines = []
     for r in reports:
         lines.append(f"p={r['p']}: union of diagonal fibers = {r['union_count']}; "
@@ -803,19 +741,18 @@ def cmd_probe(args) -> int:
                      f"and {r['xbar4_quotient_reference_value']} (quotient family)")
         lines.append(f"  per-lambda fibers: {r['per_lambda']}")
         lines.append(f"  lambda square classes: {r['lambda_classes']}")
-    _emit("\n".join(lines), args.output)
-    return 0
+    return _emit(args, {"probe": reports}, "\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
 
-def _records_csv(rows: list[dict]) -> str:
+def _records_csv(payload: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["target", "params", "p", "count", "method", "ms", "skipped"])
-    for r in rows:
+    for r in payload["records"]:
         writer.writerow([r.get("target", ""), json.dumps(r.get("params", {})),
                          r["p"], r.get("count", ""), r.get("method", ""),
                          "" if r.get("ms") is None else r["ms"],
@@ -874,17 +811,24 @@ def _report_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
+def _emit(args, payload: dict, text: str, code: int = 0, to_csv=None) -> int:
+    """Write a subcommand's output in args.format (the payload as json, its
+    to_csv rendering, or the text) to args.output or stdout; return code."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2)
+    elif args.format == "csv":
+        text = to_csv(payload)
+    if args.output:
         try:
-            with open(output, "w") as fh:
+            with open(args.output, "w") as fh:
                 fh.write(text)
                 if not text.endswith("\n"):
                     fh.write("\n")
         except OSError as e:
-            raise ConfigError(f"cannot write {output}: {e.strerror}") from None
+            raise ConfigError(f"cannot write {args.output}: {e.strerror}") from None
     else:
         print(text)
+    return code
 
 
 def _config_from(args) -> RunConfig:
@@ -901,9 +845,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "character varieties of a twice-marked genus-1 curve.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, primes=True):
-        p.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text")
+    def common(p, primes=True, formats=("text", "json")):
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", help="write to file instead of stdout")
         if primes:
             p.add_argument("--primes", help="comma-separated odd primes "
@@ -927,12 +870,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "zfull:CLS,CLS (CLS: w0|w1|w2|w3|w4any|w4=LAM) | "
                         "xstratum:{X0..X4} | dcfiber=LAM,MU,T2[,T1]")
     p.add_argument("--method", choices=("fast", "brute"), default="fast")
-    common(p)
+    common(p, formats=("text", "json", "csv"))
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify", help="run the verification pipeline")
     p.add_argument("scope", choices=("blocks", "zbar", "zfull", "all"))
-    common(p)
+    common(p, formats=("text", "json", "csv"))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hodge", help="enumerate Hodge-number tables")

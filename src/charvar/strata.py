@@ -128,7 +128,6 @@ class CaseResult:
     quotient_correction: EPolynomial
     e_moduli: EPolynomial
     has_reducibles: bool
-    fibration_factor: EPolynomial
 
 
 def derive_case(case: str) -> CaseResult:
@@ -145,7 +144,6 @@ def derive_case(case: str) -> CaseResult:
         reducible = 4 * q ** 2
         correction = EPolynomial.constant(4)
         divisor = b.unipotent_group
-        factor = b.w2
     elif case == "J+J-":
         strata = (
             ("(q-2) * Xbar3", (q - 2) * b.xbar3),
@@ -156,7 +154,6 @@ def derive_case(case: str) -> CaseResult:
         reducible = None
         correction = EPolynomial()
         divisor = b.unipotent_group
-        factor = b.w2
     elif case == "J+xi":
         strata = (
             ("(2q-1) * Xbar4lam", (2 * q - 1) * b.xbar4lam),
@@ -168,7 +165,6 @@ def derive_case(case: str) -> CaseResult:
         reducible = None
         correction = EPolynomial()
         divisor = b.torus
-        factor = b.w4lam
     elif case == "xixi-generic":
         strata = (
             ("F1 = (2q-1) * Xbar4lam", (2 * q - 1) * b.xbar4lam),
@@ -181,7 +177,6 @@ def derive_case(case: str) -> CaseResult:
         reducible = None
         correction = EPolynomial()
         divisor = b.torus
-        factor = b.w4lam
     elif case == "xixi-special":
         strata = (
             ("F1 = (2q-1) * Xbar4lam", (2 * q - 1) * b.xbar4lam),
@@ -193,7 +188,6 @@ def derive_case(case: str) -> CaseResult:
         reducible = None
         correction = EPolynomial()
         divisor = b.torus
-        factor = b.w4lam
     elif case == "xixi-equal":
         strata = (
             ("F1 = (2q-1) * Xbar4lam", (2 * q - 1) * b.xbar4lam),
@@ -205,7 +199,6 @@ def derive_case(case: str) -> CaseResult:
         reducible = (q - 1) ** 2 * (2 * q ** 2 - 1)
         correction = (q - 1) ** 2
         divisor = b.torus
-        factor = b.w4lam
     else:
         raise ValueError(f"unknown case {case!r}; known: {CASE_IDS}")
 
@@ -224,7 +217,6 @@ def derive_case(case: str) -> CaseResult:
         quotient_correction=correction,
         e_moduli=e_moduli,
         has_reducibles=reducible is not None,
-        fibration_factor=factor,
     )
 
 
@@ -237,7 +229,6 @@ class TableEntry:
     pair: tuple[str, str]
     e_moduli: EPolynomial
     has_reducibles: bool | None      # None: not stated for this entry
-    source: str                      # derivation case id or "reference"
 
 
 def moduli_table() -> tuple[TableEntry, ...]:
@@ -247,25 +238,23 @@ def moduli_table() -> tuple[TableEntry, ...]:
     derived = {c: derive_case(c) for c in CASE_IDS}
     entries = [
         # one-puncture reductions (first holonomy central): transcribed
-        TableEntry(("Id", "Id"), q ** 2 + 1, None, "reference"),
-        TableEntry(("-Id", "-Id"), q ** 2 + 1, None, "reference"),
-        TableEntry(("Id", "-Id"), ONE, None, "reference"),
-        TableEntry(("Id", "J+"), q ** 2 - 2 * q + 3, None, "reference"),
-        TableEntry(("-Id", "J-"), q ** 2 - 2 * q + 3, None, "reference"),
-        TableEntry(("Id", "J-"), q ** 2 + 3 * q, None, "reference"),
-        TableEntry(("-Id", "J+"), q ** 2 + 3 * q, None, "reference"),
-        TableEntry(("Id", "xi"), q ** 2 + 4 * q + 1, None, "reference"),
-        TableEntry(("-Id", "xi"), q ** 2 + 4 * q + 1, None, "reference"),
+        TableEntry(("Id", "Id"), q ** 2 + 1, None),
+        TableEntry(("-Id", "-Id"), q ** 2 + 1, None),
+        TableEntry(("Id", "-Id"), ONE, None),
+        TableEntry(("Id", "J+"), q ** 2 - 2 * q + 3, None),
+        TableEntry(("-Id", "J-"), q ** 2 - 2 * q + 3, None),
+        TableEntry(("Id", "J-"), q ** 2 + 3 * q, None),
+        TableEntry(("-Id", "J+"), q ** 2 + 3 * q, None),
+        TableEntry(("Id", "xi"), q ** 2 + 4 * q + 1, None),
+        TableEntry(("-Id", "xi"), q ** 2 + 4 * q + 1, None),
         # two-puncture cases
-        TableEntry(("J+", "J+"), derived["J+J+"].e_moduli, True, "J+J+"),
-        TableEntry(("J-", "J-"), derived["J+J+"].e_moduli, True, "J+J+"),
-        TableEntry(("J+", "J-"), derived["J+J-"].e_moduli, False, "J+J-"),
-        TableEntry(("J+", "xi"), derived["J+xi"].e_moduli, False, "J+xi"),
-        TableEntry(("J-", "xi"), derived["J+xi"].e_moduli, False, "J+xi"),
-        TableEntry(("xi_lam", "xi_mu"), derived["xixi-generic"].e_moduli,
-                   False, "xixi-generic"),
-        TableEntry(("xi_lam", "xi_lam"), derived["xixi-equal"].e_moduli,
-                   True, "xixi-equal"),
+        TableEntry(("J+", "J+"), derived["J+J+"].e_moduli, True),
+        TableEntry(("J-", "J-"), derived["J+J+"].e_moduli, True),
+        TableEntry(("J+", "J-"), derived["J+J-"].e_moduli, False),
+        TableEntry(("J+", "xi"), derived["J+xi"].e_moduli, False),
+        TableEntry(("J-", "xi"), derived["J+xi"].e_moduli, False),
+        TableEntry(("xi_lam", "xi_mu"), derived["xixi-generic"].e_moduli, False),
+        TableEntry(("xi_lam", "xi_lam"), derived["xixi-equal"].e_moduli, True),
     ]
     return tuple(entries)
 

@@ -3,11 +3,11 @@ import json
 
 import pytest
 
-from charvar.cli import (RunConfig, ConfigError, Skip, main, parse_class,
-                         parse_target, run_verification, smallest_lambda,
-                         generic_pair, verification_plan)
+from charvar.cli import (RunConfig, ConfigError, Skip, fill, lambda_fills, main,
+                         parse_class, parse_target, run_verification,
+                         verification_plan)
 from charvar.counting import ZFull, ZbarCase, brute_force_count, fast_count
-from charvar.sl2 import GeometricClass
+from charvar.sl2 import GeometricClass, SL2Element
 
 # sha256 of json.dumps(run_verification("all", RunConfig()), indent=2); the
 # same value is pinned in perfbench/expected.json
@@ -34,15 +34,51 @@ def test_config_validation():
     assert RunConfig(primes=(11, 5, 7)).primes == (5, 7, 11)
 
 
-def test_lambda_policies():
-    assert smallest_lambda(5) == 2
-    assert smallest_lambda(5, square=True) is None
-    assert smallest_lambda(5, square=False) == 2
-    assert smallest_lambda(7, square=True) == 2
-    assert smallest_lambda(7, square=False) == 3
-    assert generic_pair(7, same_class=False) == (2, 3)
-    assert generic_pair(7, same_class=True) is None
-    assert generic_pair(11, same_class=True) == (2, 7)
+def test_first_lambda_fills_match_a_scan():
+    # every fill of each placeholder by a direct scan, in ascending order
+    for p in range(5, 90, 2):
+        if any(p % d == 0 for d in range(3, p, 2)):
+            continue
+        squares = {x * x % p for x in range(1, p)}
+        lams = range(2, p - 1)
+        generic = [(l1, l2) for l1 in lams for l2 in lams
+                   if l2 not in (l1, pow(l1, -1, p), p - l1)]
+        scans = {
+            "lam": list(lams),
+            "square": [lam for lam in lams if lam in squares],
+            "nonsquare": [lam for lam in lams if lam not in squares],
+            "same": [f"{l1},{l2}" for l1, l2 in generic
+                     if (l1 in squares) == (l2 in squares)],
+            "cross": [f"{l1},{l2}" for l1, l2 in generic
+                      if (l1 in squares) != (l2 in squares)],
+            "special": [f"2,{p - 2}"] if p >= 7 else [],
+        }
+        for key, scan in scans.items():
+            first = fill("{" + key + "}", p)
+            if scan:
+                assert first == str(scan[0]), (key, p)
+            else:
+                assert isinstance(first, Skip), (key, p)
+        for key in ("lam", "square", "nonsquare"):
+            assert [f[key] for f in lambda_fills("{" + key + "}", p)] == scans[key]
+    assert list(lambda_fills("zbar22", 5)) == [{}]
+
+
+def test_lambda_fill_skip_reasons():
+    sq = Skip("no admissible lambda in this square class")
+    pair = Skip("no generic pair in this class pattern")
+    special = Skip("lam2 = -lam1 is not a special pair here")
+    assert fill("{lam}", 5) == "2"
+    assert fill("{square}", 5) == sq
+    assert fill("{nonsquare}", 5) == "2"
+    assert fill("{same}", 5) == fill("{cross}", 5) == pair
+    assert fill("{special}", 5) == special
+    assert fill("{square}", 7) == "2" and fill("{nonsquare}", 7) == "3"
+    assert fill("{same}", 7) == pair
+    assert fill("{cross}", 7) == "2,3"
+    assert fill("{special}", 7) == "2,5"
+    assert fill("{same}", 11) == "2,7"
+    assert fill("{lam}", 3) == Skip("no admissible lambda")
 
 
 # ---------------------------------------------------------------------------
@@ -50,34 +86,34 @@ def test_lambda_policies():
 
 
 def test_parse_targets():
-    make = parse_target("commfiber:j+")
-    assert make(5).target.entries() == (1, 1, 0, 1)
-    make = parse_target("zbar44=2,3")
-    case = make(7)
+    assert parse_target("commfiber:j+", 5).target.entries() == (1, 1, 0, 1)
+    case = parse_target("zbar44=2,3", 7)
     assert isinstance(case, ZbarCase) and (case.lam1, case.lam2) == (2, 3)
-    make = parse_target("zfull:w2,w4=2")
-    spec = make(7)
+    spec = parse_target("zfull:w2,w4=2", 7)
     assert isinstance(spec, ZFull) and spec.spec2.lam == 2
-    make = parse_target("xstratum:X3")
-    assert make(7).tag == "X3"
-    make = parse_target("dcfiber=2,3,0")
-    assert make(7).mu == 3
+    assert parse_target("xstratum:X3", 7).tag == "X3"
+    assert parse_target("dcfiber=2,3,0", 7).mu == 3
+    # a bare target takes the first {lam}
+    assert parse_target("commfiber:xi", 7).target == SL2Element.diagonal(2, 7)
+    case = parse_target("zbar44", 7)
+    assert (case.lam1, case.lam2) == (2, 2)
 
 
 def test_parse_target_skips_inadmissible_lambda():
-    make = parse_target("zbar24=4")
-    skip = make(5)            # 4 = -1 mod 5
+    skip = parse_target("zbar24=4", 5)            # 4 = -1 mod 5
     assert hasattr(skip, "reason")
-    make = parse_target("zbar24")
-    skip = make(3)            # no admissible lambda mod 3
+    skip = parse_target("zbar24", 3)              # no admissible lambda mod 3
     assert hasattr(skip, "reason")
+    assert parse_target("commfiber:xi", 3) == Skip("no admissible lambda")
 
 
 def test_parse_target_errors():
-    with pytest.raises(ConfigError):
-        parse_target("zbar99")
-    with pytest.raises(ConfigError):
-        parse_target("zfull:w2")
+    # a malformed target is an error at every prime, before any skip
+    for p in (3, 5):
+        for text in ("zbar99", "zfull:w2", "zbar44=2,x", "commfiber:xi=a",
+                     "commfiber:nonsense", "dcfiber=2,3"):
+            with pytest.raises(ConfigError):
+                parse_target(text, p)
     with pytest.raises(ConfigError):
         parse_class("w9")
 
@@ -357,6 +393,14 @@ def test_plan_specs_agree_with_the_oracle():
     assert len(plans) == 38
     assert counted == {plan.id for plan in plans} - {
         "W2-size", "W4lam-size", "Zbar44[generic-same]"}
+
+
+@pytest.mark.parametrize("argv", [["blocks"], ["derive", "J+xi"], ["hodge"],
+                                  ["probe", "--primes", "5"]])
+def test_cmd_csv_only_on_count_and_verify(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 2 and out == ""
+    assert "invalid choice" in err
 
 
 def test_cmd_usage_error_exit_code(capsys):

@@ -57,7 +57,7 @@ def test_jpjp_reducible_bookkeeping():
     res = derive_case("J+J+")
     assert res.reducible_locus == 4 * q ** 2
     assert res.zbar_star == q ** 5 + q ** 4 - q ** 2 + 3 * q
-    assert res.fibration_factor * res.zbar_star == \
+    assert building_blocks().w2 * res.zbar_star == \
         q**7 + q**6 - q**5 - 2*q**4 + 3*q**3 + q**2 - 3*q
     assert res.quotient_correction == EPolynomial.constant(4)
     assert res.has_reducibles
