@@ -28,9 +28,12 @@ test-suite contract:
   theory at all, guarded to small primes.  It works on row indices of the
   group table: a per-prime multiplication table (_cayley) turns every
   product and inverse into one gather, and [A,B] = (AB)(BA)^{-1} is read
-  for a block of A rows against every B at once.  The table is refused
-  above the pair guard, so at most the five odd primes <= 13 ever hold one
-  (about 27 MB in int32 if all are built).
+  for a block of A rows against every B at once.  That pass runs once per
+  prime, into the histogram counts[r] = #{(A,B): [A,B] = row r}, and every
+  oracle count regroups the same enumeration by the value of [A,B]: a
+  lookup, a masked sum, or for full tuples one masked sum per C1.  The
+  table is refused above the pair guard, so at most the five odd primes
+  <= 13 ever hold one (about 27 MB in int32 if all are built).
 
 The test suite keeps a third, vectorised route to the fibers as an oracle
 for the closed forms above the brute guard: the class-function identity
@@ -442,7 +445,8 @@ def fast_count(p: int, spec: TargetSpec) -> int:
 
 _CELLS = 1 << 18   # gathered cells per block: a few MB of temporaries
 
-_cayley_memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# p -> (mul, inv, commutator histogram or None until a count first asks)
+_cayley_memo: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
 
 
 def _encode(M: np.ndarray, p: int) -> np.ndarray:
@@ -462,7 +466,7 @@ def _cayley(p: int) -> tuple[np.ndarray, np.ndarray]:
             f"oracle out of range: multiplication tables are guarded to "
             f"p <= {BRUTE_MAX_PAIR_PRIME}, got {p}")
     if p in _cayley_memo:
-        return _cayley_memo[p]
+        return _cayley_memo[p][:2]
     table = group_table(p)
     n = table.n
     row_of = np.full(p ** 4, -1, dtype=np.int32)
@@ -481,21 +485,36 @@ def _cayley(p: int) -> tuple[np.ndarray, np.ndarray]:
         mul[a:a + step] = rows(mat_mul(p, table.elements[a:a + step, None],
                                        table.elements[None]))
     mul.flags.writeable = inv.flags.writeable = False
-    _cayley_memo[p] = mul, inv
+    _cayley_memo[p] = mul, inv, None
     return mul, inv
 
 
-def _commutator_blocks(p: int, cells: int = _CELLS):
+def _commutator_blocks(p: int):
     """Row indices of [A, B] = (AB)(BA)^{-1} for every B, a block of A rows
-    at a time; each block is a (rows, n) int32 array of about `cells`
+    at a time; each block is a (rows, n) int32 array of about _CELLS
     entries."""
     mul, inv = _cayley(p)
     n = len(inv)
     flat = mul.ravel()
-    step = max(1, cells // n)
+    step = max(1, _CELLS // n)
     for a in range(0, n, step):
         b = min(a + step, n)
         yield flat[mul[a:b] * n + inv[mul[:, a:b].T]]
+
+
+def _commutator_counts(p: int) -> np.ndarray:
+    """counts[r] = #{(A, B): [A, B] = row r of group_table(p)}, int64 and
+    read-only: one pass of _commutator_blocks over all |G|^2 pairs, kept in
+    the prime's _cayley_memo entry."""
+    mul, inv = _cayley(p)
+    counts = _cayley_memo[p][2]
+    if counts is None:
+        counts = np.zeros(len(inv), dtype=np.int64)
+        for C in _commutator_blocks(p):
+            counts += np.bincount(C.ravel(), minlength=len(inv))
+        counts.flags.writeable = False
+        _cayley_memo[p] = mul, inv, counts
+    return counts
 
 
 def _row_of(table: GroupTable, m: SL2Element) -> int:
@@ -503,7 +522,12 @@ def _row_of(table: GroupTable, m: SL2Element) -> int:
 
 
 def brute_force_count(p: int, spec: TargetSpec) -> int:
-    """Ground-truth count by direct nested enumeration.
+    """Ground-truth count over every pair (A, B), with no class theory.
+
+    The pairs are enumerated once per prime into the commutator histogram
+    counts[r] = #{(A, B): [A, B] = row r} (_commutator_counts); each count
+    then regroups that enumeration by the value of [A, B], in O(n) for
+    pair and barred targets and O(|K1| n) for full tuples, n = |G|.
 
     Hard runtime guards: p <= 13 for pair-domain targets and p <= 7 for
     barred/full-tuple targets; violations raise OracleRangeError.
@@ -515,8 +539,7 @@ def brute_force_count(p: int, spec: TargetSpec) -> int:
                 f"p <= {BRUTE_MAX_PAIR_PRIME}, got {p}")
         if spec.target.p != p:
             raise ValueError("target modulus mismatch")
-        t = _row_of(group_table(p), spec.target)
-        return sum(int((C == t).sum()) for C in _commutator_blocks(p))
+        return int(_commutator_counts(p)[_row_of(group_table(p), spec.target)])
 
     if isinstance(spec, ZbarCase):
         if p > BRUTE_MAX_TUPLE_PRIME:
@@ -529,9 +552,8 @@ def brute_force_count(p: int, spec: TargetSpec) -> int:
         mul, inv = _cayley(p)
         t = _row_of(table, spec.target_matrix(p))
         mask = membership_mask(table, table.elements, spec.predicate_class(p))
-        times_t = mul[:, t]
-        # C = [A,B]^{-1} T
-        return sum(int(mask[times_t[inv[C]]].sum()) for C in _commutator_blocks(p))
+        # C = [A,B]^{-1} T for [A,B] = row r
+        return int(_commutator_counts(p) @ mask[mul[inv, t]])
 
     if isinstance(spec, ZFull):
         if p > BRUTE_MAX_TUPLE_PRIME:
@@ -542,10 +564,9 @@ def brute_force_count(p: int, spec: TargetSpec) -> int:
         mul, inv = _cayley(p)
         mask1 = membership_mask(table, table.elements, spec.spec1)
         mask2 = membership_mask(table, table.elements, spec.spec2)
-        K1inv = inv[mask1]
-        # C2 = C1^{-1} [A,B]^{-1} for every (C1, A, B) at once
-        return sum(int(mask2[mul[K1inv[:, None, None], inv[C][None]]].sum())
-                   for C in _commutator_blocks(p, _CELLS // len(K1inv)))
+        # C2 = C1^{-1} [A,B]^{-1} for every C1 and every value [A,B] = row r
+        hits = mask2[mul[inv[mask1][:, None], inv]]
+        return int((hits @ _commutator_counts(p)).sum())
 
     if isinstance(spec, XStratum):
         if p > BRUTE_MAX_PAIR_PRIME:
@@ -554,7 +575,7 @@ def brute_force_count(p: int, spec: TargetSpec) -> int:
                 f"p <= {BRUTE_MAX_PAIR_PRIME}, got {p}")
         table = group_table(p)
         mask = membership_mask(table, table.elements, spec.geometric_union())
-        return sum(int(mask[C].sum()) for C in _commutator_blocks(p))
+        return int(_commutator_counts(p) @ mask)
 
     if isinstance(spec, DiagonalCommutatorFiber):
         if p > BRUTE_MAX_PAIR_PRIME:
@@ -595,9 +616,7 @@ def brute_commutator_tally(p: int) -> dict[tuple, int]:
         raise OracleRangeError(
             f"oracle out of range: tally guarded to p <= {BRUTE_MAX_PAIR_PRIME}")
     table = group_table(p)
-    counts = np.zeros(table.n, dtype=np.int64)
-    for C in _commutator_blocks(p):
-        counts += np.bincount(C.ravel(), minlength=table.n)
+    counts = _commutator_counts(p)
     return {tuple(table.elements[r].tolist()): int(counts[r])
             for r in np.flatnonzero(counts).tolist()}
 

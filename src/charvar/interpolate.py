@@ -1,6 +1,7 @@
 """Exact polynomial reconstruction from per-prime counts.
 
-Everything here runs over Fraction; a fit only becomes an EPolynomial if
+Everything here is exact: interpolation sums in int over one common
+denominator and returns Fractions; a fit only becomes an EPolynomial if
 its coefficients are integers, and a failed integrality check is the
 "not polynomial-count at this degree" signal.  The quasi-polynomial
 fallback partitions records by residue class (modulus 4 first, then 3:
@@ -11,6 +12,7 @@ least one more point than its degree forces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,24 +34,32 @@ class NonIntegralFitError(FitError):
 
 
 def _lagrange(points: list[tuple[int, int]]) -> list[Fraction]:
-    """Coefficients (ascending) of the unique interpolant through the points."""
-    coeffs = [Fraction(0)] * len(points)
+    """Coefficients (ascending) of the unique interpolant through the points.
+
+    Each Lagrange basis term is num_i / den_i with integer num_i and den_i,
+    so the sum runs in int over the common denominator L = lcm(den_i), and
+    only the final coefficients become Fractions."""
+    terms = []
     for xi, yi in points:
-        num = [Fraction(1)]
-        den = Fraction(1)
+        num = [1]
+        den = 1
         for xj, _ in points:
             if xj == xi:
                 continue
-            num = [Fraction(0)] + num
+            num = [0] + num
             for k in range(len(num) - 1):
                 num[k] -= num[k + 1] * xj
             den *= xi - xj
-        w = Fraction(yi) / den
+        terms.append((yi, num, den))
+    lcm = math.lcm(*(den for _, _, den in terms))
+    totals = [0] * len(points)
+    for yi, num, den in terms:
+        w = yi * (lcm // den)
         for k, c in enumerate(num):
-            coeffs[k] += c * w
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+            totals[k] += c * w
+    while len(totals) > 1 and totals[-1] == 0:
+        totals.pop()
+    return [Fraction(t, lcm) for t in totals]
 
 
 def _validate_records(records: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -552,6 +552,52 @@ def test_tally_matches_pure_python_enumeration(p):
     assert list(tally) == sorted(tally)   # lexicographic key order
 
 
+def gathered_oracle(p, spec):
+    """The oracle without the histogram: one gather per (A, B), and one
+    per (C1, A, B) for full tuples, with [A, B] = (AB)(BA)^{-1} read from
+    the Cayley table."""
+    table = group_table(p)
+    mul, inv = counting._cayley(p)
+    comm = mul[mul, inv[mul.T]]
+
+    def row(m):
+        return int(np.flatnonzero((table.elements == m.entries()).all(axis=1))[0])
+
+    def mask(spec):
+        return membership_mask(table, table.elements, spec)
+
+    if isinstance(spec, CommutatorFiber):
+        return int((comm == row(spec.target)).sum())
+    if isinstance(spec, XStratum):
+        return int(mask(spec.geometric_union())[comm].sum())
+    if isinstance(spec, ZbarCase):
+        # C = [A,B]^{-1} T
+        t = row(spec.target_matrix(p))
+        return int(mask(spec.predicate_class(p))[mul[inv[comm], t]].sum())
+    # C2 = C1^{-1} [A,B]^{-1}
+    mask2 = mask(spec.spec2)
+    return sum(int(mask2[mul[c1_inv, inv[comm]]].sum())
+               for c1_inv in inv[mask(spec.spec1)].tolist())
+
+
+REGROUPED_SPECS = {
+    5: [CommutatorFiber(SL2Element.jminus(5)), CommutatorFiber(SL2Element.diagonal(2, 5)),
+        *(XStratum(tag) for tag in ("X0", "X1", "X2", "X3", "X4")),
+        ZbarCase("zbar22"), ZbarCase("zbar23"), ZbarCase("zbar24", 2),
+        ZbarCase("zbar34", 3), ZbarCase("zbar44", 2, 2), ZbarCase("zbar44", 3, 2),
+        ZFull(W2, W3), ZFull(W3, W3), ZFull(w4(2), W1), ZFull(W0, W4ANY),
+        ZFull(W4ANY, W2), ZFull(W4ANY, W4ANY)],
+    7: [ZFull(W3, W4ANY)],
+}
+
+
+@pytest.mark.parametrize("p, spec", [
+    pytest.param(p, spec, id=f"p{p}-{i}-{type(spec).__name__}")
+    for p, specs in REGROUPED_SPECS.items() for i, spec in enumerate(specs)])
+def test_histogram_oracle_equals_the_gather_over_all_tuples(p, spec):
+    assert brute_force_count(p, spec) == gathered_oracle(p, spec)
+
+
 def test_oracle_uses_no_class_theory(monkeypatch):
     p = 5
     specs = [CommutatorFiber(SL2Element.jminus(p)), ZbarCase("zbar44", 2, 2),
@@ -570,8 +616,16 @@ def test_oracle_uses_no_class_theory(monkeypatch):
     monkeypatch.setattr(counting, "_closed_form_fiber", refuse)
     for name in ("class_members", "class_size", "label_codes", "label_of_code"):
         monkeypatch.setattr(counting, name, refuse)
+    counting._commutator_counts(p)   # a histogram is held before the reset
     monkeypatch.setattr(counting, "_cayley_memo", {})
+    passes = []
+    blocks = counting._commutator_blocks
+    monkeypatch.setattr(counting, "_commutator_blocks",
+                        lambda q: passes.append(q) or blocks(q))
     assert [brute_force_count(p, spec) for spec in specs] == expected
     tally = brute_commutator_tally(p)
     for g, fib in tally_expected.items():
         assert tally.get(g, 0) == fib, g
+    # the reset dropped the held histogram: one pass rebuilt it, under refusal
+    assert passes == [p]
+    assert counting._cayley_memo[p][2] is not None

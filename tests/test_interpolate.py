@@ -1,15 +1,22 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charvar.counting import ZbarCase, count_zbar
 from charvar.epoly import EPolynomial, Q
 from charvar.interpolate import (EXACT, INCONSISTENT, QUASI, FitError,
                                  InsufficientPointsError, NonIntegralFitError,
-                                 compare, consistency_check, lagrange_fit)
+                                 _lagrange, compare, consistency_check,
+                                 lagrange_fit)
 from charvar.sl2 import W2, class_members
 
 PANEL = (5, 7, 11, 13, 17, 19, 23, 29, 31)
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+              61, 67, 71, 73, 79, 83, 89, 97, 101)
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 def test_fit_w2_sizes():
@@ -128,3 +135,71 @@ def test_compare():
     assert not diff.equal
     assert diff.diffs == ((0, -1, 1),)
     assert "q^0: -1 vs 1" in str(diff)
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+@st.composite
+def counted_polynomials(draw, extra_points=0):
+    """(poly, degree, records): an integer polynomial of degree 0..8 with
+    its values at distinct random odd primes, at least degree + 1 +
+    extra_points of them; the constant term is shifted so that every count
+    is nonnegative, as the fit contract requires."""
+    degree = draw(st.integers(0, 8))
+    coeffs = draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                           min_size=degree, max_size=degree))
+    coeffs.append(draw(st.integers(-10 ** 6, 10 ** 6).filter(bool)))
+    primes = draw(st.lists(st.sampled_from(ODD_PRIMES), unique=True,
+                           min_size=degree + 1 + extra_points,
+                           max_size=degree + 3 + extra_points))
+    poly = EPolynomial(coeffs)
+    poly = poly + max(0, -min(poly.evaluate(p) for p in primes))
+    return poly, degree, [(p, poly.evaluate(p)) for p in primes]
+
+
+def newton_interpolant(points):
+    """Reference interpolant over Fraction: Newton divided differences,
+    expanded to ascending coefficients with trailing zeros trimmed."""
+    xs = [x for x, _ in points]
+    dd = [Fraction(y) for _, y in points]
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+    poly = [dd[-1]]
+    for i in range(len(xs) - 2, -1, -1):
+        poly = [Fraction(0)] + poly   # times (q - xs[i]), plus dd[i]
+        for k in range(len(poly) - 1):
+            poly[k] -= poly[k + 1] * xs[i]
+        poly[0] += dd[i]
+    while len(poly) > 1 and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+@PROPERTY
+@given(counted_polynomials())
+def test_property_fit_round_trips_at_random_primes(case):
+    poly, degree, records = case
+    assert lagrange_fit(records, degree) == poly
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(-200, 200), st.integers(-10 ** 9, 10 ** 9)),
+                min_size=1, max_size=10, unique_by=lambda pt: pt[0]))
+def test_property_lagrange_equals_fraction_reference(points):
+    assert _lagrange(points) == newton_interpolant(points)
+
+
+@PROPERTY
+@given(counted_polynomials(extra_points=1), st.data())
+def test_property_one_corrupted_point_is_caught(case, data):
+    poly, degree, records = case
+    bad = data.draw(st.integers(0, len(records) - 1))
+    delta = data.draw(st.integers(1, 10 ** 6))
+    bad_p, count = records[bad]
+    records[bad] = (bad_p, count + delta)
+    report = consistency_check(poly, records, degree)
+    assert report.status != EXACT
+    assert report.offending_primes() == (bad_p,)
