@@ -5,9 +5,9 @@ pair-enumeration oracle.  They must agree; the oracle is the referee.
 """
 
 from charvar import (CommutatorFiber, SL2Element, ZbarCase,
-                     brute_force_count, centralizer_order, commutator,
+                     brute_force_count, class_code, class_size, commutator,
                      commutator_fiber_distribution, count_commutator_fiber,
-                     count_zbar, enumerate_sl2, rational_class_of)
+                     count_zbar, enumerate_sl2)
 
 p = 5
 
@@ -20,22 +20,22 @@ a = SL2Element(1, 1, 0, 1, p)
 b = SL2Element(1, 0, 1, 1, p)
 print(f"[{a.entries()}, {b.entries()}] = {commutator(a, b).entries()}")
 
-# Rational conjugacy classes: p + 4 of them.  The trace-2 elements split
-# into two classes told apart by a quadratic-residue invariant.
+# Rational conjugacy classes: p + 4 of them, each named by an integer
+# code: 0 Id, 1 -Id, 2/3 trace 2, 4/5 trace -2, 6+t split and 6+p+t
+# nonsplit of trace t.  The trace-2 elements split into two classes told
+# apart by a quadratic-residue invariant.
 for m in (SL2Element.jplus(p), SL2Element(1, 2, 0, 1, p),
           SL2Element.diagonal(2, p)):
-    label = rational_class_of(m)
-    print(f"{m.entries()}: class {label.kind}"
-          f"{'/' + str(label.detail) if label.detail is not None else ''}, "
-          f"centralizer order {centralizer_order(m)}")
+    code = class_code(m)
+    print(f"{m.entries()}: class code {code}, size {class_size(p, code)}")
 
 # The commutator-fiber distribution: #{(A,B): [A,B] = g} per class.
 dist = commutator_fiber_distribution(p)
 print(f"\nfiber counts per class at p={p}:")
-for label, fib in sorted(dist.fibers.items(), key=lambda kv: str(kv[0])):
-    print(f"  {label.kind:<11} detail={str(label.detail):<10} "
-          f"fiber={fib:<6} orbit={dist.orbit_sizes[label]}")
-print(f"total pairs = {dist.total_pairs()} = {len(group)}^2")
+for code in dist.sizes.nonzero()[0].tolist():
+    print(f"  code {code:<3} fiber={dist.fibers[code]:<6} "
+          f"size={dist.sizes[code]}")
+print(f"total pairs = {dist.fibers @ dist.sizes} = {len(group)}^2")
 
 # Fast path vs oracle on a fiber and on a barred set.
 target = SL2Element.diagonal(2, p)

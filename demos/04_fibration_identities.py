@@ -40,6 +40,6 @@ for p in (5, 7):
 # equals the union-family value 128 and not the quotient-family 316.
 for p in (5, 7):
     r = monodromy_probe(p)
-    print(f"probe p={p}: per-lambda {r.per_lambda} -> union {r.union_count}; "
-          f"references {r.xbar4_reference_value} / "
-          f"{r.xbar4_quotient_reference_value}")
+    print(f"probe p={p}: per-lambda {r['per_lambda']} -> union "
+          f"{r['union_count']}; references {r['xbar4_reference_value']} / "
+          f"{r['xbar4_quotient_reference_value']}")

@@ -16,14 +16,13 @@ The command line front end lives in :mod:`charvar.cli`.
 """
 
 from .epoly import EPolynomial, ExactDivisionError, Q, exact_divide
-from .sl2 import (ClassLabel, GeometricClass, SL2Element, W0, W1, W2, W3,
-                  W4ANY, centralizer_order, class_members, commutator,
-                  enumerate_sl2, group_table, is_square_mod,
-                  rational_class_of, w4)
+from .sl2 import (GeometricClass, SL2Element, W0, W1, W2, W3, W4ANY,
+                  class_code, class_members, class_size, commutator,
+                  enumerate_sl2, group_table, is_square_mod, w4)
 from .counting import (BRUTE_MAX_PAIR_PRIME, BRUTE_MAX_TUPLE_PRIME, XStratum,
                        ClassDistribution, CommutatorFiber,
-                       DiagonalCommutatorFiber, MonodromyReport,
-                       OracleRangeError, ZFull, ZbarCase,
+                       DiagonalCommutatorFiber, OracleRangeError, ZFull,
+                       ZbarCase,
                        brute_commutator_tally, brute_force_count,
                        commutator_fiber_distribution, count_commutator_fiber,
                        count_diagonal_commutator_fiber, count_x_stratum,

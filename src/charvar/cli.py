@@ -473,10 +473,8 @@ def run_verification(scope: str, config: RunConfig) -> dict:
     targets = [_evaluate_target(pl, config) for pl in plans]
     identities = _symbolic_identities() + _count_identities(scope, config)
 
-    probes = []
-    if scope in ("zbar", "all"):
-        for p in IDENTITY_PRIMES:
-            probes.append(monodromy_probe(p).as_dict())
+    probes = ([monodromy_probe(p) for p in IDENTITY_PRIMES]
+              if scope in ("zbar", "all") else [])
 
     must_failures = [t["id"] for t in targets
                      if t["must_match"] and t["verdict"] != "match"]
@@ -730,7 +728,7 @@ def cmd_hodge(args) -> int:
 def cmd_probe(args) -> int:
     try:
         config = _config_from(args)
-        reports = [monodromy_probe(p).as_dict() for p in config.primes]
+        reports = [monodromy_probe(p) for p in config.primes]
     except ValueError as e:     # ConfigError, or a prime below 5
         print(f"error: {e}", file=sys.stderr)
         return 2

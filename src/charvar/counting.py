@@ -53,16 +53,13 @@ constraint on the second.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .sl2 import (CENTRAL_MINUS, CENTRAL_PLUS, NONSPLIT, SPLIT,
-                  UNIPOTENT_MINUS, UNIPOTENT_PLUS, ClassLabel, GeometricClass,
-                  GroupTable, SL2Element, W0, W1, W2, W3, W4ANY, check_prime,
-                  class_members, class_size, group_table, inverse_mod,
-                  is_square_mod, label_codes, label_of_code, mat_inv, mat_mul,
-                  rational_class_of, w4)
+from .sl2 import (GeometricClass, GroupTable, SL2Element, W0, W1, W2, W3,
+                  W4ANY, check_prime, class_code, class_members, class_size,
+                  group_table, inverse_mod, is_square_mod, label_codes,
+                  mat_inv, mat_mul, w4)
 
 BRUTE_MAX_PAIR_PRIME = 13    # CommFiber / diagonal-commutator targets
 BRUTE_MAX_TUPLE_PRIME = 7    # barred sets and full tuple sets
@@ -87,7 +84,9 @@ class CommutatorFiber:
 
 
 ZBAR_ARITY = {"zbar22": 0, "zbar23": 0, "zbar24": 1, "zbar34": 1, "zbar44": 2}
-X_STRATA = ("X0", "X1", "X2", "X3", "X4")
+# stratum tag -> the range of class codes (sl2) its commutator lies in
+X_STRATA = {"X0": slice(0, 1), "X1": slice(1, 2), "X2": slice(2, 4),
+            "X3": slice(4, 6), "X4": slice(6, None)}
 
 
 @dataclass(frozen=True)
@@ -223,29 +222,26 @@ TargetSpec = CommutatorFiber | ZbarCase | ZFull | XStratum | DiagonalCommutatorF
 
 @dataclass
 class ClassDistribution:
-    """Per-element commutator fiber count and size of every rational class."""
+    """Per-element commutator fiber count and size of every rational class,
+    as int64 arrays indexed by class code (sl2), 0 at unused codes."""
     p: int
-    fibers: dict[ClassLabel, int]
-    orbit_sizes: dict[ClassLabel, int]
-
-    def total_pairs(self) -> int:
-        return sum(self.orbit_sizes[k] * self.fibers[k] for k in self.fibers)
-
-    def n_classes(self) -> int:
-        return len(self.fibers)
+    fibers: np.ndarray
+    sizes: np.ndarray
 
     def check_consistency(self) -> None:
         n = self.p ** 3 - self.p
-        if self.total_pairs() != n * n:
+        total = int(self.fibers @ self.sizes)
+        if total != n * n:
             raise ArithmeticError(
-                f"fiber totals {self.total_pairs()} != |G|^2 = {n*n} at p={self.p}")
-        if self.n_classes() != self.p + 4:
+                f"fiber totals {total} != |G|^2 = {n*n} at p={self.p}")
+        classes = np.count_nonzero(self.sizes)
+        if classes != self.p + 4:
             raise ArithmeticError(
-                f"{self.n_classes()} classes realised at p={self.p}, expected {self.p+4}")
+                f"{classes} classes realised at p={self.p}, expected {self.p+4}")
 
 
-def _closed_form_fiber(p: int, label: ClassLabel) -> int:
-    """#{(A,B): [A,B] = g} for g in the rational class `label`.
+def _closed_form_fiber(p: int, code: int) -> int:
+    """#{(A,B): [A,B] = g} for g in the rational class `code`.
 
     Frobenius: the fiber is |G| sum_chi chi(g)/chi(1) over the irreducible
     characters of SL(2,F_q) (Fulton-Harris 5.2).  Every sum of roots of
@@ -255,17 +251,17 @@ def _closed_form_fiber(p: int, label: ClassLabel) -> int:
     lam for diag(lam, 1/lam)).
     """
     q = p
-    if label.kind == CENTRAL_PLUS:
+    if code == 0:
         return (q ** 3 - q) * (q + 4)
-    if label.kind == CENTRAL_MINUS:
+    if code == 1:
         return q ** 3 - q
-    if label.kind == UNIPOTENT_PLUS:
+    if code < 4:
         return q ** 3 - 2 * q ** 2 - 3 * q
-    if label.kind == UNIPOTENT_MINUS:
+    if code < 6:
         eps = 1 if q % 4 == 1 else -1
         return q ** 3 + 3 * eps * q ** 2
-    ell = is_square_mod(label.detail + 2, q)
-    if label.kind == SPLIT:
+    ell = is_square_mod((code - 6) % q + 2, q)
+    if code < 6 + q:
         return q ** 3 + 3 * q ** 2 - 3 * q - 1 if ell else (q - 1) ** 3
     return q ** 3 - 3 * q ** 2 - 3 * q + 1 if ell else (q + 1) ** 3
 
@@ -279,18 +275,19 @@ def commutator_fiber_distribution(p: int) -> ClassDistribution:
 
     The classes are ±Id, the four unipotent square classes and one class
     per trace t != ±2, split when t^2 - 4 is a square.  Fibers and sizes
-    both come in closed form, in code order, and the totals check the
-    fibers against |G|^2 pairs over p + 4 classes.
+    both come in closed form, and the totals check the fibers against
+    |G|^2 pairs over p + 4 classes.
     """
     if p in _dist_memo:
         return _dist_memo[p]
     check_prime(p)
     regular = [6 + t if is_square_mod(t * t - 4, p) else 6 + p + t
                for t in range(p) if t not in (2, p - 2)]
-    labels = [label_of_code(p, code) for code in sorted([*range(6), *regular])]
-    dist = ClassDistribution(
-        p, {lab: _closed_form_fiber(p, lab) for lab in labels},
-        {lab: class_size(p, lab.kind) for lab in labels})
+    dist = ClassDistribution(p, np.zeros(6 + 2 * p, dtype=np.int64),
+                             np.zeros(6 + 2 * p, dtype=np.int64))
+    for code in [*range(6), *regular]:
+        dist.fibers[code] = _closed_form_fiber(p, code)
+        dist.sizes[code] = class_size(p, code)
     dist.check_consistency()
     _dist_memo[p] = dist
     return dist
@@ -303,8 +300,7 @@ def commutator_fiber_distribution(p: int) -> ClassDistribution:
 def count_commutator_fiber(p: int, target: SL2Element) -> int:
     if target.p != p:
         raise ValueError(f"target lives mod {target.p}, not {p}")
-    dist = commutator_fiber_distribution(p)
-    return dist.fibers[rational_class_of(target)]
+    return int(commutator_fiber_distribution(p).fibers[class_code(target)])
 
 
 def membership_mask(table: GroupTable, M: np.ndarray,
@@ -325,18 +321,11 @@ def membership_mask(table: GroupTable, M: np.ndarray,
     return t == tm
 
 
-@lru_cache(maxsize=None)
-def _fiber_lut(p: int) -> np.ndarray:
-    """fiber by rational class code (sl2.label_of_code); 0 at unused codes."""
-    dist = commutator_fiber_distribution(p)
-    return np.array([dist.fibers.get(label_of_code(p, code), 0)
-                     for code in range(6 + 2 * p)], dtype=np.int64)
-
-
 def _fiber_sum(p: int, spec: GeometricClass, T: SL2Element) -> int:
     """sum over C in spec of fiber(T C)."""
     TC = mat_mul(p, np.array(T.entries(), dtype=np.int64), class_members(p, spec))
-    return int(_fiber_lut(p)[label_codes(p, TC)].sum())
+    fibers = commutator_fiber_distribution(p).fibers
+    return int(fibers[label_codes(p, TC)].sum())
 
 
 def count_zbar(p: int, case: ZbarCase) -> int:
@@ -370,11 +359,8 @@ def count_x_stratum(p: int, name: str) -> int:
     if name not in X_STRATA:
         raise ValueError(f"unknown stratum {name!r}")
     dist = commutator_fiber_distribution(p)
-    kinds = {"X0": (CENTRAL_PLUS,), "X1": (CENTRAL_MINUS,),
-             "X2": (UNIPOTENT_PLUS,), "X3": (UNIPOTENT_MINUS,),
-             "X4": (SPLIT, NONSPLIT)}[name]
-    return sum(dist.orbit_sizes[lab] * dist.fibers[lab]
-               for lab in dist.fibers if lab.kind in kinds)
+    codes = X_STRATA[name]
+    return int(dist.fibers[codes] @ dist.sizes[codes])
 
 
 def _diagonal_commutator_targets(p: int, lam: int, mu: int, t2: int,
@@ -625,8 +611,7 @@ def brute_commutator_tally(p: int) -> dict[tuple, int]:
 # monodromy probe
 
 
-@dataclass
-class MonodromyReport:
+def monodromy_probe(p: int) -> dict:
     """Union of split-diagonal fibers vs the two reference evaluations.
 
     The union of all X-bar_{4,lam} over F_p is the set of pairs whose
@@ -634,25 +619,6 @@ class MonodromyReport:
     next to the q=p values of the two degree-4 reference polynomials so
     that any divergence is visible rather than asserted away.
     """
-    p: int
-    per_lambda: dict[int, int]
-    union_count: int
-    xbar4_reference_value: int
-    xbar4_quotient_reference_value: int
-    lambda_classes: dict[str, list[int]]
-
-    def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "per_lambda": {str(k): v for k, v in self.per_lambda.items()},
-            "union_count": self.union_count,
-            "xbar4_reference_value": self.xbar4_reference_value,
-            "xbar4_quotient_reference_value": self.xbar4_quotient_reference_value,
-            "lambda_classes": self.lambda_classes,
-        }
-
-
-def monodromy_probe(p: int) -> MonodromyReport:
     if p < 5:
         raise ValueError("probe needs p >= 5")
     from .strata import building_blocks
@@ -660,14 +626,14 @@ def monodromy_probe(p: int) -> MonodromyReport:
     per_lambda = {}
     classes: dict[str, list[int]] = {"square": [], "nonsquare": []}
     for lam in range(2, p - 1):
-        per_lambda[lam] = count_commutator_fiber(
+        per_lambda[str(lam)] = count_commutator_fiber(
             p, SL2Element.diagonal(lam, p))
         classes["square" if is_square_mod(lam, p) else "nonsquare"].append(lam)
-    return MonodromyReport(
-        p=p,
-        per_lambda=per_lambda,
-        union_count=sum(per_lambda.values()),
-        xbar4_reference_value=blocks.xbar4.evaluate(p),
-        xbar4_quotient_reference_value=blocks.xbar4_quotient.evaluate(p),
-        lambda_classes=classes,
-    )
+    return {
+        "p": p,
+        "per_lambda": per_lambda,
+        "union_count": sum(per_lambda.values()),
+        "xbar4_reference_value": blocks.xbar4.evaluate(p),
+        "xbar4_quotient_reference_value": blocks.xbar4_quotient.evaluate(p),
+        "lambda_classes": classes,
+    }

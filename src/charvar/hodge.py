@@ -156,18 +156,17 @@ def enumerate_tables(e_coeffs: Sequence[int], betti: BettiVector,
 
 
 def brute_force_tables(e_coeffs: Sequence[int], betti: BettiVector,
-                       weight_bound: bool = True,
-                       cell_bound: int | None = None) -> list[HodgeTable]:
+                       weight_bound: bool = True) -> list[HodgeTable]:
     """Oracle: filter the full product of per-column cell assignments.
 
-    Cells range over 0..cell_bound (default max Betti number); columns are
-    filtered by sum and weight bound, then the cross product is filtered by
-    the row alternating sums.  No pruning, no cleverness.
+    Cells range over 0..max Betti number; columns are filtered by sum and
+    weight bound, then the cross product is filtered by the row alternating
+    sums.  No pruning, no cleverness.
     """
     d = betti.dimension
     e = _pad_e(e_coeffs, d)
     n_cols = 2 * d + 1
-    bound = max(betti.values) if cell_bound is None else cell_bound
+    bound = max(betti.values)
     per_column: list[list[tuple[int, ...]]] = []
     for k in range(n_cols):
         allowed = []

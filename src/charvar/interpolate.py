@@ -106,9 +106,7 @@ INCONSISTENT = "inconsistent"
 @dataclass
 class FitReport:
     status: str
-    polynomial: EPolynomial | None
     residuals: tuple[tuple[int, int, int], ...]   # (p, count, predicted)
-    primes: tuple[int, ...]
     modulus: int | None = None
     branches: dict[int, EPolynomial] = field(default_factory=dict)
 
@@ -149,9 +147,8 @@ def consistency_check(poly: EPolynomial, holdout: list[tuple[int, int]],
     if degree_bound is None:
         degree_bound = poly.degree()
     residuals = tuple((p, count, poly.evaluate(p)) for p, count in holdout)
-    primes = tuple(p for p, _ in holdout)
     if all(count == pred for _, count, pred in residuals):
-        return FitReport(EXACT, poly, residuals, primes)
+        return FitReport(EXACT, residuals)
     for m in QUASI_MODULI:
         classes: dict[int, list[tuple[int, int]]] = {}
         for p, count in holdout:
@@ -164,9 +161,8 @@ def consistency_check(poly: EPolynomial, holdout: list[tuple[int, int]],
                 break
             branches[r] = fit
         if branches:
-            return FitReport(QUASI, poly, residuals, primes,
-                             modulus=m, branches=branches)
-    return FitReport(INCONSISTENT, poly, residuals, primes)
+            return FitReport(QUASI, residuals, modulus=m, branches=branches)
+    return FitReport(INCONSISTENT, residuals)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,13 @@ Two class notions coexist and must not be conflated:
 * *rational* classes: orbits under SL(2,F_p)-conjugation.  There are p+4
   of them: two central, four unipotent-type (trace ±2 split by a
   quadratic-residue invariant), and one regular class per trace t ≠ ±2
-  (split when t²−4 is a nonzero square mod p, nonsplit otherwise).
+  (split when t²−4 is a nonzero square mod p, nonsplit otherwise).  A
+  rational class is named by its integer class code:
+
+      0 Id, 1 −Id, 2/3 trace 2 square/nonsquare, 4/5 trace −2
+      square/nonsquare, 6+t split of trace t, 6+p+t nonsplit of trace t,
+
+  so the codes run over 0..6+2p−1 and p+2 of them name no class.
 * *geometric* classes W0..W4: the closure-level classes determined by
   trace/identity tests alone.  |W2| = |W3| = p²−1 and |W4(λ)| = p²+p
   exactly, which is why geometric membership is what the counting engine
@@ -21,21 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
 MAX_ENUM_PRIME = 101
-
-CENTRAL_PLUS = "central+"
-CENTRAL_MINUS = "central-"
-UNIPOTENT_PLUS = "unipotent+"
-UNIPOTENT_MINUS = "unipotent-"
-SPLIT = "split"
-NONSPLIT = "nonsplit"
-
-SQUARE = "square"
-NONSQUARE = "nonsquare"
 
 
 def is_odd_prime(n: int) -> bool:
@@ -49,11 +45,11 @@ def is_odd_prime(n: int) -> bool:
     return True
 
 
-def check_prime(p: int, max_prime: int = MAX_ENUM_PRIME) -> None:
+def check_prime(p: int) -> None:
     if not is_odd_prime(p):
         raise ValueError(f"p = {p} is not an odd prime >= 3")
-    if p > max_prime:
-        raise ValueError(f"p = {p} exceeds the enumeration bound {max_prime}")
+    if p > MAX_ENUM_PRIME:
+        raise ValueError(f"p = {p} exceeds the enumeration bound {MAX_ENUM_PRIME}")
 
 
 def inverse_mod(a: int, p: int) -> int:
@@ -147,13 +143,13 @@ class SL2Element:
         return f"SL2Element([[{self.m11},{self.m12}],[{self.m21},{self.m22}]] mod {self.p})"
 
 
-def enumerate_sl2(p: int, max_prime: int = MAX_ENUM_PRIME) -> Iterator[SL2Element]:
+def enumerate_sl2(p: int) -> Iterator[SL2Element]:
     """All of SL(2,F_p) exactly once, row-major over (m11,m12,m21).
 
     m22 is solved when m11 != 0; the m11 = 0 branch forces m21 = -m12^{-1}
     and leaves m22 free.  The scalar reference for _sl2_rows.
     """
-    check_prime(p, max_prime)
+    check_prime(p)
     for a in range(p):
         if a:
             ainv = inverse_mod(a, p)
@@ -174,50 +170,31 @@ def commutator(a: SL2Element, b: SL2Element) -> SL2Element:
     return a * b * a.inverse() * b.inverse()
 
 
-class ClassLabel(NamedTuple):
-    """SL(2,F_p)-conjugacy class descriptor.
-
-    detail is the square-class flag for unipotent kinds, the trace for
-    regular kinds, and None for central elements.
-    """
-    kind: str
-    detail: object = None
-
-
-def rational_class_of(m: SL2Element) -> ClassLabel:
+def class_code(m: SL2Element) -> int:
+    """Rational class code of one matrix: the scalar reference for
+    label_codes, and the O(1) lookup of count_commutator_fiber."""
     p = m.p
     t = m.trace()
     if m.is_identity():
-        return ClassLabel(CENTRAL_PLUS)
+        return 0
     if m.is_minus_identity():
-        return ClassLabel(CENTRAL_MINUS)
+        return 1
     if t == 2 or t == p - 2:
-        kind = UNIPOTENT_PLUS if t == 2 else UNIPOTENT_MINUS
         # N = M -+ Id is nilpotent nonzero; det(v, Nv) with v = e1 is n21,
         # falling back to v = e2 (giving -n12) when e1 lies in ker N.
-        n21 = m.m21
-        val = n21 if n21 else (-m.m12) % p
-        return ClassLabel(kind, SQUARE if is_square_mod(val, p) else NONSQUARE)
-    if is_square_mod(t * t - 4, p):
-        return ClassLabel(SPLIT, t)
-    return ClassLabel(NONSPLIT, t)
+        val = m.m21 if m.m21 else (-m.m12) % p
+        return (2 if t == 2 else 4) + (0 if is_square_mod(val, p) else 1)
+    return 6 + t if is_square_mod(t * t - 4, p) else 6 + p + t
 
 
-def _centralizer_order_of_kind(p: int, kind: str) -> int:
-    if kind in (CENTRAL_PLUS, CENTRAL_MINUS):
-        return p ** 3 - p
-    if kind in (UNIPOTENT_PLUS, UNIPOTENT_MINUS):
-        return 2 * p
-    return p - 1 if kind == SPLIT else p + 1
-
-
-def centralizer_order(m: SL2Element) -> int:
-    return _centralizer_order_of_kind(m.p, rational_class_of(m).kind)
-
-
-def class_size(p: int, kind: str) -> int:
-    """|G| / |C(g)|: 1, (p^2 - 1)/2, p^2 + p, p^2 - p (central to nonsplit)."""
-    return (p ** 3 - p) // _centralizer_order_of_kind(p, kind)
+def class_size(p: int, code: int) -> int:
+    """|G| / |C(g)| for g of class `code`: 1 for ±Id, (p^2 - 1)/2 for the
+    unipotent classes, p^2 + p split and p^2 - p nonsplit."""
+    if code < 2:
+        return 1
+    if code < 6:
+        return (p * p - 1) // 2
+    return p * p + p if code < 6 + p else p * p - p
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +279,6 @@ def w4(lam: int) -> GeometricClass:
 # ---------------------------------------------------------------------------
 # vectorized arithmetic on (..., 4) int64 arrays of entries mod p
 
-# label codes: 0 C+, 1 C-, 2/3 U+ sq/nonsq, 4/5 U- sq/nonsq,
-# 6+t split trace t, 6+p+t nonsplit trace t.
-_FIXED_LABELS = (ClassLabel(CENTRAL_PLUS), ClassLabel(CENTRAL_MINUS),
-                 *(ClassLabel(kind, detail)
-                   for kind in (UNIPOTENT_PLUS, UNIPOTENT_MINUS)
-                   for detail in (SQUARE, NONSQUARE)))
-
-
 def _inverses(p: int) -> np.ndarray:
     """x^{-1} mod p at index x != 0 (index 0 holds 0)."""
     inv = np.zeros(p, dtype=np.int64)
@@ -332,7 +301,7 @@ def mat_inv(p: int, A: np.ndarray) -> np.ndarray:
 
 
 def label_codes(p: int, M: np.ndarray) -> np.ndarray:
-    """Rational class code of every matrix of M (see label_of_code)."""
+    """Rational class code of every matrix of M (see class_code)."""
     square = np.zeros(p, dtype=bool)      # nonzero squares mod p
     square[np.arange(1, p, dtype=np.int64) ** 2 % p] = True
     m11, m12, m21, m22 = M[..., 0], M[..., 1], M[..., 2], M[..., 3]
@@ -347,14 +316,6 @@ def label_codes(p: int, M: np.ndarray) -> np.ndarray:
     codes = np.where(plus & off_diag_zero & (m11 == 1), 0, codes)
     codes = np.where(minus & off_diag_zero & (m11 == p - 1), 1, codes)
     return codes
-
-
-def label_of_code(p: int, code: int) -> ClassLabel:
-    if code < 6:
-        return _FIXED_LABELS[code]
-    if code < 6 + p:
-        return ClassLabel(SPLIT, code - 6)
-    return ClassLabel(NONSPLIT, code - 6 - p)
 
 
 def class_members(p: int, spec: GeometricClass) -> np.ndarray:
@@ -388,7 +349,7 @@ def class_members(p: int, spec: GeometricClass) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the group table: every element of SL(2,F_p) with its class code
+# the group table: every element of SL(2,F_p)
 
 
 def _sl2_rows(p: int) -> np.ndarray:
@@ -411,8 +372,8 @@ class GroupTable:
     one; it serves the brute-force oracle and the tests.
     """
 
-    def __init__(self, p: int, max_prime: int = MAX_ENUM_PRIME):
-        check_prime(p, max_prime)
+    def __init__(self, p: int):
+        check_prime(p)
         self.p = p
         self.elements = _sl2_rows(p)
         self.n = len(self.elements)

@@ -25,7 +25,7 @@ from charvar.hodge import (brute_force_tables, compact_betti_from_poincare,
 from charvar.interpolate import (EXACT, INCONSISTENT, consistency_check,
                                  lagrange_fit)
 from charvar.sl2 import (SL2Element, W0, W1, W2, W3, W4ANY,
-                         enumerate_sl2, rational_class_of, w4)
+                         class_code, enumerate_sl2, w4)
 from charvar.strata import CASE_IDS, derive_case, stated_results, \
     stated_zbar_totals
 
@@ -131,7 +131,7 @@ def test_criterion_3_oracle_equivalence():
             tally = brute_commutator_tally(p)
             dist = commutator_fiber_distribution(p)
             for m in enumerate_sl2(p):
-                assert dist.fibers[rational_class_of(m)] == \
+                assert dist.fibers[class_code(m)] == \
                     tally.get(m.entries(), 0), (p, m)
 
         # spot values, each confirmed by the oracle

@@ -21,10 +21,9 @@ from charvar.counting import (CommutatorFiber, DiagonalCommutatorFiber,
                               count_diagonal_commutator_fiber, count_x_stratum,
                               count_z_full, count_zbar, fast_count,
                               membership_mask, monodromy_probe)
-from charvar.sl2 import (NONSPLIT, SL2Element, W0, W1, W2, W3, W4ANY,
+from charvar.sl2 import (SL2Element, W0, W1, W2, W3, W4ANY, class_code,
                          class_members, commutator, enumerate_sl2, group_table,
-                         inverse_mod, label_codes, label_of_code, mat_inv,
-                         mat_mul, rational_class_of, w4)
+                         inverse_mod, label_codes, mat_inv, mat_mul, w4)
 
 
 def vector_fiber(table, g) -> int:
@@ -44,10 +43,10 @@ def vector_fiber(table, g) -> int:
 
 
 def class_rows(table):
-    """(label, entries) of the first table row of each realised class."""
+    """(code, entries) of the first table row of each realised class."""
     codes, rows = np.unique(label_codes(table.p, table.elements),
                             return_index=True)
-    return [(label_of_code(table.p, code), tuple(table.elements[row].tolist()))
+    return [(code, tuple(table.elements[row].tolist()))
             for code, row in zip(codes.tolist(), rows.tolist())]
 
 
@@ -59,38 +58,39 @@ def class_rows(table):
 def test_distribution_consistency(p):
     dist = commutator_fiber_distribution(p)
     n = p ** 3 - p
-    assert dist.n_classes() == p + 4
-    assert dist.total_pairs() == n * n
+    assert np.count_nonzero(dist.sizes) == p + 4
+    assert int(dist.fibers @ dist.sizes) == n * n
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_closed_form_fibers_match_vector_identity(p):
     table = group_table(p)
     dist = commutator_fiber_distribution(p)
-    for label, g in class_rows(table):
-        assert dist.fibers[label] == vector_fiber(table, g), label
+    for code, g in class_rows(table):
+        assert dist.fibers[code] == vector_fiber(table, g), code
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_closed_form_class_sizes_match_counted_sizes(p):
     table = group_table(p)
-    sizes = np.bincount(label_codes(p, table.elements))
-    counted = {label_of_code(p, code): int(sizes[code])
-               for code in np.flatnonzero(sizes).tolist()}
-    assert commutator_fiber_distribution(p).orbit_sizes == counted
+    counted = np.bincount(label_codes(p, table.elements), minlength=6 + 2 * p)
+    assert commutator_fiber_distribution(p).sizes.tolist() == counted.tolist()
 
 
 def test_distribution_frozen_values_at_5():
-    dist = commutator_fiber_distribution(5)
-    by_kind = {}
-    for label, fib in dist.fibers.items():
-        by_kind.setdefault(label.kind, set()).add(fib)
-    assert by_kind["central+"] == {1080}
-    assert by_kind["central-"] == {120}
-    assert by_kind["unipotent+"] == {60}
-    assert by_kind["unipotent-"] == {200}
-    assert by_kind["split"] == {64}
-    assert by_kind["nonsplit"] == {216, 36}
+    p = 5
+    dist = commutator_fiber_distribution(p)
+    used = dist.sizes > 0
+
+    def fibers(lo, hi):
+        return set(dist.fibers[lo:hi][used[lo:hi]].tolist())
+
+    assert fibers(0, 1) == {1080}              # Id
+    assert fibers(1, 2) == {120}               # -Id
+    assert fibers(2, 4) == {60}                # trace 2
+    assert fibers(4, 6) == {200}               # trace -2
+    assert fibers(6, 6 + p) == {64}            # split
+    assert fibers(6 + p, 6 + 2 * p) == {216, 36}   # nonsplit
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +101,8 @@ def test_distribution_frozen_values_at_5():
 def test_fiber_oracle_equivalence_all_classes(p):
     tally = brute_commutator_tally(p)
     dist = commutator_fiber_distribution(p)
-    for label, g in class_rows(group_table(p)):
-        assert dist.fibers[label] == tally.get(g, 0), label
+    for code, g in class_rows(group_table(p)):
+        assert dist.fibers[code] == tally.get(g, 0), code
 
 
 def test_fiber_oracle_equivalence_at_11():
@@ -154,7 +154,7 @@ def test_fiber_at_3():
 def test_fiber_is_class_function():
     p = 7
     g = SL2Element(3, 1, 2, 1, p)   # trace 4, nonsplit at 7
-    assert rational_class_of(g).kind == NONSPLIT
+    assert class_code(g) == 6 + p + 4          # nonsplit of trace 4
     h = SL2Element(1, 2, 3, 0, p)
     conj = h * g * h.inverse()
     assert count_commutator_fiber(p, g) == count_commutator_fiber(p, conj)
@@ -311,9 +311,7 @@ def test_zfull_w4any_against_oracle(p):
 @pytest.mark.parametrize("p", [11, 13])
 def test_zfull_w4any_against_a_direct_double_sum(p):
     # fiber(C1 C2) summed over every generated member of W4any, no complement
-    dist = commutator_fiber_distribution(p)
-    lut = np.array([dist.fibers.get(label_of_code(p, code), 0)
-                    for code in range(6 + 2 * p)], dtype=np.int64)
+    lut = commutator_fiber_distribution(p).fibers
     regular = class_members(p, W4ANY)
     for s in (W0, W1, W2, W3, w4(2), W4ANY):
         direct = sum(int(lut[label_codes(p, mat_mul(p, regular, c2))].sum())
@@ -476,22 +474,22 @@ def test_diagonal_commutator_fiber_parameter_validation():
 
 def test_monodromy_probe_at_5():
     report = monodromy_probe(5)
-    assert report.per_lambda == {2: 64, 3: 64}
-    assert report.union_count == 128
-    assert report.xbar4_reference_value == 128
-    assert report.xbar4_quotient_reference_value == 316
-    assert report.lambda_classes == {"square": [], "nonsquare": [2, 3]}
+    assert report["per_lambda"] == {"2": 64, "3": 64}
+    assert report["union_count"] == 128
+    assert report["xbar4_reference_value"] == 128
+    assert report["xbar4_quotient_reference_value"] == 316
+    assert report["lambda_classes"] == {"square": [], "nonsquare": [2, 3]}
 
 
 def test_monodromy_probe_always_reports():
     for p in (5, 7, 11):
         report = monodromy_probe(p)
-        assert report.union_count == sum(report.per_lambda.values())
-        assert len(report.per_lambda) == p - 3
-        d = report.as_dict()
-        assert set(d) == {"p", "per_lambda", "union_count",
-                          "xbar4_reference_value",
-                          "xbar4_quotient_reference_value", "lambda_classes"}
+        assert report["union_count"] == sum(report["per_lambda"].values())
+        assert len(report["per_lambda"]) == p - 3
+        assert list(report) == ["p", "per_lambda", "union_count",
+                                "xbar4_reference_value",
+                                "xbar4_quotient_reference_value",
+                                "lambda_classes"]
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +602,8 @@ def test_oracle_uses_no_class_theory(monkeypatch):
              ZFull(W2, w4(2)), XStratum("X3"), DiagonalCommutatorFiber(2, 3, 0)]
     expected = [fast_count(p, spec) for spec in specs]
     dist = commutator_fiber_distribution(p)
-    tally_expected = {g: dist.fibers[label]
-                      for label, g in class_rows(group_table(p))}
+    tally_expected = {g: dist.fibers[code]
+                      for code, g in class_rows(group_table(p))}
     # the table the oracle reads holds entries only, no class data
     assert set(vars(group_table(p))) == {"p", "elements", "n"}
 
@@ -614,7 +612,7 @@ def test_oracle_uses_no_class_theory(monkeypatch):
 
     monkeypatch.setattr(counting, "commutator_fiber_distribution", refuse)
     monkeypatch.setattr(counting, "_closed_form_fiber", refuse)
-    for name in ("class_members", "class_size", "label_codes", "label_of_code"):
+    for name in ("class_members", "class_size", "label_codes", "class_code"):
         monkeypatch.setattr(counting, name, refuse)
     counting._commutator_counts(p)   # a histogram is held before the reset
     monkeypatch.setattr(counting, "_cayley_memo", {})

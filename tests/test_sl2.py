@@ -3,12 +3,9 @@ from itertools import product
 
 import pytest
 
-from charvar.sl2 import (CENTRAL_MINUS, CENTRAL_PLUS, NONSPLIT, NONSQUARE,
-                         SPLIT, SQUARE, UNIPOTENT_PLUS,
-                         GeometricClass, SL2Element,
-                         centralizer_order, class_members, commutator,
-                         enumerate_sl2, group_table, inverse_mod, label_codes,
-                         label_of_code, rational_class_of, w4,
+from charvar.sl2 import (GeometricClass, SL2Element, class_code,
+                         class_members, class_size, commutator, enumerate_sl2,
+                         group_table, inverse_mod, label_codes, w4,
                          W0, W1, W2, W3, W4ANY)
 
 
@@ -63,7 +60,7 @@ def test_enumeration_rejects_bad_input():
         with pytest.raises(ValueError):
             list(enumerate_sl2(bad))
     with pytest.raises(ValueError):
-        list(enumerate_sl2(103, max_prime=101))
+        list(enumerate_sl2(103))   # above MAX_ENUM_PRIME = 101
 
 
 def test_enumeration_deterministic_order():
@@ -112,30 +109,28 @@ def test_commutator_rejects_mixed_moduli():
 
 
 def test_central_labels():
-    assert rational_class_of(SL2Element.minus_identity(5)).kind == CENTRAL_MINUS
-    assert rational_class_of(SL2Element.identity(5)).kind == CENTRAL_PLUS
+    assert class_code(SL2Element.minus_identity(5)) == 1
+    assert class_code(SL2Element.identity(5)) == 0
 
 
 def test_jplus_label_at_5():
-    label = rational_class_of(SL2Element.jplus(5))
-    assert label == (UNIPOTENT_PLUS, SQUARE)
+    assert class_code(SL2Element.jplus(5)) == 2     # trace 2, square
 
 
 def test_offdiagonal_two_is_other_unipotent_class_at_5():
     m = SL2Element(1, 2, 0, 1, 5)
-    label = rational_class_of(m)
-    assert label == (UNIPOTENT_PLUS, NONSQUARE)
+    assert class_code(m) == 3                       # trace 2, nonsquare
     # exhaustive conjugacy search: not conjugate to J+
     jplus = SL2Element.jplus(5)
     conjugates = {(g * jplus * g.inverse()).entries() for g in enumerate_sl2(5)}
     assert m.entries() not in conjugates
-    assert len(conjugates) == (5 ** 3 - 5) // centralizer_order(jplus)
+    assert len(conjugates) == class_size(5, class_code(jplus))
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_number_of_realized_labels_is_p_plus_4(p):
-    labels = {rational_class_of(m) for m in enumerate_sl2(p)}
-    assert len(labels) == p + 4
+    codes = {class_code(m) for m in enumerate_sl2(p)}
+    assert len(codes) == p + 4
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
@@ -145,7 +140,29 @@ def test_label_is_conjugation_invariant(p):
     for _ in range(1000):
         m = rng.choice(elements)
         g = rng.choice(elements)
-        assert rational_class_of(g * m * g.inverse()) == rational_class_of(m)
+        assert class_code(g * m * g.inverse()) == class_code(m)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_codes_induce_the_conjugacy_partition(p):
+    """Orbits by brute-force conjugation are exactly the code classes, p + 4
+    of them, each of size class_size."""
+    group = all_elements(p)
+    orbits, seen = [], set()
+    for m in group:
+        if m.entries() in seen:
+            continue
+        orbit = {(g * m * g.inverse()).entries() for g in group}
+        seen |= orbit
+        orbits.append(orbit)
+    by_code = {}
+    for m in group:
+        by_code.setdefault(class_code(m), set()).add(m.entries())
+    assert {frozenset(o) for o in orbits} == \
+        {frozenset(v) for v in by_code.values()}
+    assert len(by_code) == p + 4
+    for code, members in by_code.items():
+        assert class_size(p, code) == len(members), code
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -158,15 +175,15 @@ def test_unipotent_details_match_exhaustive_conjugacy_oracle(p):
         members = [m for m in group
                    if m.trace() == trace_sign
                    and not (m.is_identity() or m.is_minus_identity())]
-        by_label = {}
+        by_code = {}
         for m in members:
-            by_label.setdefault(rational_class_of(m), set()).add(m.entries())
-        assert len(by_label) == 2
+            by_code.setdefault(class_code(m), set()).add(m.entries())
+        assert len(by_code) == 2
         # brute orbits
         seed = members[0]
         orbit1 = {(g * seed * g.inverse()).entries() for g in group}
         rest = {m.entries() for m in members} - orbit1
-        assert {frozenset(v) for v in by_label.values()} == \
+        assert {frozenset(v) for v in by_code.values()} == \
             {frozenset(orbit1), frozenset(rest)}
     del table
 
@@ -177,9 +194,11 @@ def test_unipotent_details_match_exhaustive_conjugacy_oracle(p):
 
 def test_centralizer_examples():
     p = 5
-    assert centralizer_order(SL2Element.identity(p)) == 120
-    assert centralizer_order(SL2Element.jplus(p)) == 10
-    assert centralizer_order(SL2Element.diagonal(2, p)) == 4
+    n = p ** 3 - p
+    # |C(m)| = |G| / class size
+    assert n // class_size(p, class_code(SL2Element.identity(p))) == 120
+    assert n // class_size(p, class_code(SL2Element.jplus(p))) == 10
+    assert n // class_size(p, class_code(SL2Element.diagonal(2, p))) == 4
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -187,12 +206,12 @@ def test_centralizer_matches_brute_count_per_class(p):
     group = all_elements(p)
     seen = set()
     for m in group:
-        label = rational_class_of(m)
-        if label in seen:
+        code = class_code(m)
+        if code in seen:
             continue
-        seen.add(label)
+        seen.add(code)
         brute = sum(1 for g in group if g * m == m * g)
-        assert centralizer_order(m) == brute, (label, brute)
+        assert class_size(p, code) * brute == len(group), (code, brute)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
@@ -201,12 +220,12 @@ def test_orbit_partition(p):
     total = 0
     counted = set()
     for m in enumerate_sl2(p):
-        label = rational_class_of(m)
-        if label in counted:
+        code = class_code(m)
+        if code in counted:
             continue
-        counted.add(label)
-        assert n % centralizer_order(m) == 0
-        total += n // centralizer_order(m)
+        counted.add(code)
+        assert n % class_size(p, code) == 0
+        total += class_size(p, code)
     assert total == n
 
 
@@ -274,16 +293,16 @@ def test_geometric_class_validation():
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_w2_splits_into_two_unipotent_labels(p):
-    labels = {rational_class_of(m) for m in geometric_members(p, W2)}
-    assert labels == {(UNIPOTENT_PLUS, SQUARE), (UNIPOTENT_PLUS, NONSQUARE)}
+    codes = {class_code(m) for m in geometric_members(p, W2)}
+    assert codes == {2, 3}
 
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_w4_members_form_one_split_label(p):
     lam = 2
-    labels = {rational_class_of(m) for m in geometric_members(p, w4(lam))}
+    codes = {class_code(m) for m in geometric_members(p, w4(lam))}
     t = (lam + inverse_mod(lam, p)) % p
-    assert labels == {(SPLIT, t)}
+    assert codes == {6 + t}
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +315,7 @@ def test_group_table_label_codes_agree_with_scalar_labels(p):
     codes = label_codes(p, table.elements)
     for row in range(table.n):
         m = SL2Element(*table.elements[row].tolist(), p)
-        assert label_of_code(p, int(codes[row])) == rational_class_of(m)
+        assert int(codes[row]) == class_code(m)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
@@ -307,5 +326,5 @@ def test_group_table_rows_follow_enumeration_order(p):
 
 def test_nonsplit_labels_exist():
     # trace 1 and 4 at p=5 have irreducible characteristic polynomial
-    labels = {rational_class_of(m) for m in enumerate_sl2(5)}
-    assert (NONSPLIT, 1) in labels and (NONSPLIT, 4) in labels
+    codes = {class_code(m) for m in enumerate_sl2(5)}
+    assert 6 + 5 + 1 in codes and 6 + 5 + 4 in codes
