@@ -3,17 +3,17 @@
 Everything here is exact integer-polynomial arithmetic; no counting.
 """
 
-from charvar import CASE_IDS, building_blocks, derive_case, moduli_table
+from charvar import CASE_IDS, block_identities, building_blocks, derive_case
 
-# The table of E-polynomials every derivation draws from.  These are
-# transcribed constants; the identity checks below are what pins them.
+# The E-polynomials every derivation draws from.  These are transcribed
+# constants; the identity checks below are what pins them.
 blocks = building_blocks()
 print("building blocks:")
-for name, poly in blocks.as_dict().items():
+for name, poly in blocks.items():
     print(f"  e({name}) = {poly}")
 
 print("\ninternal identities:")
-for name, ok in blocks.identity_checks().items():
+for name, ok in block_identities(blocks).items():
     print(f"  {name}: {'ok' if ok else 'BROKEN'}")
 
 # Each two-puncture case is a stratum sum, an optional reducible-locus
@@ -25,16 +25,9 @@ for case in CASE_IDS:
     for label, value in result.strata:
         print(f"    {label:<40} {value}")
     print(f"    {'e(Zbar)':<40} {result.zbar}")
-    if result.has_reducibles:
+    if result.reducible_locus is not None:
         print(f"    {'reducible locus':<40} {result.reducible_locus}")
         print(f"    {'e(Zbar*)':<40} {result.zbar_star}")
     print(f"    e(R) = e(Zbar*)/{result.quotient_divisor}"
           f"{' + ' + str(result.quotient_correction) if not result.quotient_correction.is_zero() else ''}"
           f" = {result.e_moduli}")
-
-# The assembled table, symmetric duplicates and the one-puncture
-# reference list included.
-print("\nmoduli polynomials by class pair:")
-for entry in moduli_table():
-    red = {True: "reducibles", False: "no reducibles", None: "-"}[entry.has_reducibles]
-    print(f"  {str(entry.pair):<24} {str(entry.e_moduli):<36} [{red}]")

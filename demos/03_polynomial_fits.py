@@ -18,13 +18,13 @@ records = [(p, count_commutator_fiber(p, SL2Element.jplus(p))) for p in PRIMES]
 fit = lagrange_fit(records[:4], 3)
 report = consistency_check(fit, records)
 print(f"fiber over J+: fit {fit} ({report.status}), "
-      f"reference comparison: {compare(fit, blocks.xbar2)}")
+      f"reference comparison: {compare(fit, blocks['Xbar2'])}")
 
 # A mod-4 case: the fiber over J- depends on whether -1 is a square.
 records = [(p, count_commutator_fiber(p, SL2Element.jminus(p))) for p in PRIMES]
 extended = records + [(p, count_commutator_fiber(p, SL2Element.jminus(p)))
                       for p in (37, 41, 43, 47)]
-report = consistency_check(blocks.xbar3, extended)
+report = consistency_check(blocks["Xbar3"], extended)
 print(f"\nfiber over J-: {report.status} modulo {report.modulus}")
 for residue, branch in sorted(report.branches.items()):
     print(f"  p % 4 == {residue}: {branch}")
@@ -38,7 +38,7 @@ for lam in range(2, p - 1):
         count_commutator_fiber(p, SL2Element.diagonal(lam, p)))
 print(f"\ndiag fibers at p={p}: square lambdas -> {sorted(by_class[True])}, "
       f"nonsquare -> {sorted(by_class[False])}")
-print(f"reference e(Xbar4lam)(13) = {blocks.xbar4lam.evaluate(13)}, "
+print(f"reference e(Xbar4lam)(13) = {blocks['Xbar4lam'].evaluate(13)}, "
       f"(q-1)^3 = {(13 - 1) ** 3}")
 
 # The barred sets inherit the same arithmetic.  Zbar22 is exactly

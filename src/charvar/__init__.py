@@ -30,10 +30,8 @@ from .counting import (BRUTE_MAX_PAIR_PRIME, BRUTE_MAX_TUPLE_PRIME, XStratum,
 from .interpolate import (Comparison, FitError, FitReport,
                           InsufficientPointsError, NonIntegralFitError,
                           compare, consistency_check, lagrange_fit)
-from .strata import (CASE_IDS, BuildingBlockTable, CaseResult, TableEntry,
-                     building_blocks, derive_case, moduli_table,
-                     stated_results, stated_zbar_totals,
-                     z_reduction_references)
+from .strata import (CASE_IDS, CaseResult, block_identities, building_blocks,
+                     derive_case, stated_results, stated_zbar_totals)
 from .hodge import (BettiVector, HodgeTable, brute_force_tables,
                     compact_betti_from_poincare, default_instance,
                     enumerate_tables, forced_entries)

@@ -44,10 +44,6 @@ Fiber counts are constant on GL(2,F_p)-classes (conjugating both A and B
 is a bijection), so barred-set counts depend only on the geometric class
 of the target matrix T; in particular the lam <-> lam^{-1} and the
 equal-regime normalisations below do not change any count.
-
-The single-puncture reduction table identifies Z(W1, W4(lam)) with the
-stratum of W4(-lam): fixing the first holonomy to -Id negates the
-constraint on the second.
 """
 
 from __future__ import annotations
@@ -67,6 +63,12 @@ BRUTE_MAX_TUPLE_PRIME = 7    # barred sets and full tuple sets
 
 class OracleRangeError(ValueError):
     """Brute-force oracle requested above its hard runtime guard."""
+
+
+def _guard(p: int, bound: int, noun: str) -> None:
+    if p > bound:
+        raise OracleRangeError(
+            f"oracle out of range: {noun} are guarded to p <= {bound}, got {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +449,7 @@ def _cayley(p: int) -> tuple[np.ndarray, np.ndarray]:
     encoded entries turns each product back into a row.  Memoised per
     prime and refused above BRUTE_MAX_PAIR_PRIME, which bounds the memo.
     """
-    if p > BRUTE_MAX_PAIR_PRIME:
-        raise OracleRangeError(
-            f"oracle out of range: multiplication tables are guarded to "
-            f"p <= {BRUTE_MAX_PAIR_PRIME}, got {p}")
+    _guard(p, BRUTE_MAX_PAIR_PRIME, "multiplication tables")
     if p in _cayley_memo:
         return _cayley_memo[p][:2]
     table = group_table(p)
@@ -507,6 +506,16 @@ def _row_of(table: GroupTable, m: SL2Element) -> int:
     return int(np.flatnonzero((table.elements == m.entries()).all(axis=1))[0])
 
 
+# spec type -> (the oracle's prime bound for it, the noun its refusal names)
+ORACLE_GUARDS = {
+    CommutatorFiber: (BRUTE_MAX_PAIR_PRIME, "commutator fibers"),
+    ZbarCase: (BRUTE_MAX_TUPLE_PRIME, "barred sets"),
+    ZFull: (BRUTE_MAX_TUPLE_PRIME, "full tuple sets"),
+    XStratum: (BRUTE_MAX_PAIR_PRIME, "strata"),
+    DiagonalCommutatorFiber: (BRUTE_MAX_PAIR_PRIME, "diagonal commutator fibers"),
+}
+
+
 def brute_force_count(p: int, spec: TargetSpec) -> int:
     """Ground-truth count over every pair (A, B), with no class theory.
 
@@ -516,22 +525,19 @@ def brute_force_count(p: int, spec: TargetSpec) -> int:
     pair and barred targets and O(|K1| n) for full tuples, n = |G|.
 
     Hard runtime guards: p <= 13 for pair-domain targets and p <= 7 for
-    barred/full-tuple targets; violations raise OracleRangeError.
+    barred/full-tuple targets (ORACLE_GUARDS); violations raise
+    OracleRangeError.
     """
+    if type(spec) not in ORACLE_GUARDS:
+        raise TypeError(f"unknown target spec {spec!r}")
+    _guard(p, *ORACLE_GUARDS[type(spec)])
+
     if isinstance(spec, CommutatorFiber):
-        if p > BRUTE_MAX_PAIR_PRIME:
-            raise OracleRangeError(
-                f"oracle out of range: commutator fibers are guarded to "
-                f"p <= {BRUTE_MAX_PAIR_PRIME}, got {p}")
         if spec.target.p != p:
             raise ValueError("target modulus mismatch")
         return int(_commutator_counts(p)[_row_of(group_table(p), spec.target)])
 
     if isinstance(spec, ZbarCase):
-        if p > BRUTE_MAX_TUPLE_PRIME:
-            raise OracleRangeError(
-                f"oracle out of range: barred sets are guarded to "
-                f"p <= {BRUTE_MAX_TUPLE_PRIME}, got {p}")
         if p < 5:
             raise ValueError("barred-set counts need p >= 5")
         table = group_table(p)
@@ -542,10 +548,6 @@ def brute_force_count(p: int, spec: TargetSpec) -> int:
         return int(_commutator_counts(p) @ mask[mul[inv, t]])
 
     if isinstance(spec, ZFull):
-        if p > BRUTE_MAX_TUPLE_PRIME:
-            raise OracleRangeError(
-                f"oracle out of range: full tuple sets are guarded to "
-                f"p <= {BRUTE_MAX_TUPLE_PRIME}, got {p}")
         table = group_table(p)
         mul, inv = _cayley(p)
         mask1 = membership_mask(table, table.elements, spec.spec1)
@@ -555,21 +557,11 @@ def brute_force_count(p: int, spec: TargetSpec) -> int:
         return int((hits @ _commutator_counts(p)).sum())
 
     if isinstance(spec, XStratum):
-        if p > BRUTE_MAX_PAIR_PRIME:
-            raise OracleRangeError(
-                f"oracle out of range: strata are guarded to "
-                f"p <= {BRUTE_MAX_PAIR_PRIME}, got {p}")
         table = group_table(p)
         mask = membership_mask(table, table.elements, spec.geometric_union())
         return int(_commutator_counts(p) @ mask)
 
-    if isinstance(spec, DiagonalCommutatorFiber):
-        if p > BRUTE_MAX_PAIR_PRIME:
-            raise OracleRangeError(
-                f"oracle out of range: guarded to p <= {BRUTE_MAX_PAIR_PRIME}")
-        return _brute_diagonal_commutator_fiber(p, spec)
-
-    raise TypeError(f"unknown target spec {spec!r}")
+    return _brute_diagonal_commutator_fiber(p, spec)
 
 
 def _brute_diagonal_commutator_fiber(p: int, spec: DiagonalCommutatorFiber) -> int:
@@ -598,9 +590,7 @@ def brute_commutator_tally(p: int) -> dict[tuple, int]:
     """Value -> pair count over the full pair enumeration; guard p <= 13.
 
     Keys come in table row order, which is lexicographic in the entries."""
-    if p > BRUTE_MAX_PAIR_PRIME:
-        raise OracleRangeError(
-            f"oracle out of range: tally guarded to p <= {BRUTE_MAX_PAIR_PRIME}")
+    _guard(p, BRUTE_MAX_PAIR_PRIME, "commutator tallies")
     table = group_table(p)
     counts = _commutator_counts(p)
     return {tuple(table.elements[r].tolist()): int(counts[r])
@@ -633,7 +623,7 @@ def monodromy_probe(p: int) -> dict:
         "p": p,
         "per_lambda": per_lambda,
         "union_count": sum(per_lambda.values()),
-        "xbar4_reference_value": blocks.xbar4.evaluate(p),
-        "xbar4_quotient_reference_value": blocks.xbar4_quotient.evaluate(p),
+        "xbar4_reference_value": blocks["Xbar4"].evaluate(p),
+        "xbar4_quotient_reference_value": blocks["Xbar4/Z2"].evaluate(p),
         "lambda_classes": classes,
     }

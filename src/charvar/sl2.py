@@ -47,9 +47,9 @@ def is_odd_prime(n: int) -> bool:
 
 def check_prime(p: int) -> None:
     if not is_odd_prime(p):
-        raise ValueError(f"p = {p} is not an odd prime >= 3")
+        raise ValueError(f"{p} is not an odd prime")
     if p > MAX_ENUM_PRIME:
-        raise ValueError(f"p = {p} exceeds the enumeration bound {MAX_ENUM_PRIME}")
+        raise ValueError(f"{p} exceeds the enumeration bound {MAX_ENUM_PRIME}")
 
 
 def inverse_mod(a: int, p: int) -> int:

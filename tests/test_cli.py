@@ -8,6 +8,7 @@ from charvar.cli import (RunConfig, ConfigError, Skip, fill, lambda_fills, main,
                          verification_plan)
 from charvar.counting import ZFull, ZbarCase, brute_force_count, fast_count
 from charvar.sl2 import GeometricClass, SL2Element
+from charvar.strata import CASE_IDS, building_blocks
 
 # sha256 of json.dumps(run_verification("all", RunConfig()), indent=2); the
 # same value is pinned in perfbench/expected.json
@@ -151,6 +152,34 @@ def test_cmd_derive(capsys):
 def test_cmd_derive_unknown_case(capsys):
     code, _, _ = run_cli(capsys, "derive", "nonsense")
     assert code == 2
+
+
+# sha256 of the stdout of `charvar blocks --format json` and of
+# `charvar derive CASE --format json`, trailing newline included
+SYMBOLIC_JSON_SHA256 = {
+    ("blocks",): "92b86a2a08463efca0759859ab52739b131d21f5aaec703d335d0377f112b19d",
+    ("derive", "J+J+"):
+        "1f4915a17054cd3e00450508cf1546976e482d8015cd1bb0d048a93dade51335",
+    ("derive", "J+J-"):
+        "bc06cdb900880afe143cd50460864a90900fb5e7c53a65f91dd266f0ac35a3f2",
+    ("derive", "J+xi"):
+        "96a0d7645f4d4182f3e68ef96230bb26ced995db91bf760cdb45b28e303658fa",
+    ("derive", "xixi-generic"):
+        "691b5e523a68c27ebaacd776fbb288dd5738643e2281ae33b81f0ba2244ee322",
+    ("derive", "xixi-special"):
+        "286f4b3b0737d85b7e414ab66395fc9442651a987b51d0b657f45d70d10892e0",
+    ("derive", "xixi-equal"):
+        "dcf461333727dbfb27f1689e6ba8d1a4c3c733e3d2230fe439df6debd9f9ec9a",
+}
+
+
+def test_symbolic_json_outputs_are_pinned(capsys):
+    assert {argv[1] for argv in SYMBOLIC_JSON_SHA256 if len(argv) == 2} == \
+        set(CASE_IDS)
+    for argv, sha in SYMBOLIC_JSON_SHA256.items():
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == sha, argv
 
 
 def test_cmd_count_text(capsys):
@@ -406,3 +435,15 @@ def test_cmd_csv_only_on_count_and_verify(capsys, argv):
 def test_cmd_usage_error_exit_code(capsys):
     assert main(["verify", "nonsense-scope"]) == 2
     assert main([]) == 2
+
+
+def test_zfull_central_rows_cite_one_puncture_strata():
+    # Z(W0, K) reduces to the stratum X of K and Z(W1, K) to that of -K
+    b = building_blocks()
+    refs = {plan.id: plan.reference for plan in verification_plan("zfull")}
+    expected = {"Z00": "X0", "Z01": "X1", "Z02": "X2", "Z03": "X3",
+                "Z04lam[qr]": "X4lam", "Z04lam[qnr]": "X4lam",
+                "Z11": "X0", "Z12": "X3", "Z13": "X2",
+                "Z14lam[qr]": "X4lam", "Z14lam[qnr]": "X4lam"}
+    for plan_id, block in expected.items():
+        assert refs[plan_id] == b[block], plan_id

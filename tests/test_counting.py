@@ -8,6 +8,8 @@ class-function identity (vector_fiber), and the closed-form class sizes
 and generated class members against the group table.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -497,12 +499,24 @@ def test_monodromy_probe_always_reports():
 
 
 def test_oracle_range_guards():
-    with pytest.raises(OracleRangeError, match="oracle out of range"):
-        brute_force_count(17, CommutatorFiber(SL2Element.identity(17)))
-    with pytest.raises(OracleRangeError, match="oracle out of range"):
-        brute_force_count(11, ZbarCase("zbar22"))
-    with pytest.raises(OracleRangeError, match="oracle out of range"):
-        brute_force_count(11, ZFull(W2, W3))
+    # every spec kind and the tally, each at the first prime above its bound
+    pair, tuple_ = counting.BRUTE_MAX_PAIR_PRIME, counting.BRUTE_MAX_TUPLE_PRIME
+    refusals = [
+        (17, pair, "commutator fibers",
+         lambda: brute_force_count(17, CommutatorFiber(SL2Element.identity(17)))),
+        (11, tuple_, "barred sets",
+         lambda: brute_force_count(11, ZbarCase("zbar22"))),
+        (11, tuple_, "full tuple sets",
+         lambda: brute_force_count(11, ZFull(W2, W3))),
+        (17, pair, "strata", lambda: brute_force_count(17, XStratum("X0"))),
+        (17, pair, "diagonal commutator fibers",
+         lambda: brute_force_count(17, DiagonalCommutatorFiber(2, 3, 0))),
+        (17, pair, "commutator tallies", lambda: brute_commutator_tally(17)),
+    ]
+    for p, bound, noun, call in refusals:
+        message = f"oracle out of range: {noun} are guarded to p <= {bound}, got {p}"
+        with pytest.raises(OracleRangeError, match=re.escape(message)):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,40 @@
 import pytest
 
 from charvar.epoly import EPolynomial, ExactDivisionError, Q, exact_divide
-from charvar.strata import (CASE_IDS, building_blocks, derive_case,
-                            moduli_table, stated_results, stated_zbar_totals,
-                            z_reduction_references)
+from charvar.strata import (CASE_IDS, block_identities, building_blocks,
+                            derive_case, stated_results, stated_zbar_totals)
 
 q = Q
 
 
 def test_building_block_lookups():
     b = building_blocks()
-    assert b.xbar2 == q ** 3 - 2 * q ** 2 - 3 * q
-    assert b.w0 == EPolynomial.constant(1)
-    assert b.xbar3 == q ** 3 + 3 * q ** 2
-    assert b.xbar4_quotient == q ** 4 - 2 * q ** 3 - 3 * q ** 2 + 3 * q + 1
-    assert b.w4 == b.sl2 - b.w0 - b.w1 - b.w2 - b.w3 == \
+    assert b["Xbar2"] == q ** 3 - 2 * q ** 2 - 3 * q
+    assert b["W0"] == EPolynomial.constant(1)
+    assert b["Xbar3"] == q ** 3 + 3 * q ** 2
+    assert b["Xbar4/Z2"] == q ** 4 - 2 * q ** 3 - 3 * q ** 2 + 3 * q + 1
+    assert b["W4"] == b["SL2"] - b["W0"] - b["W1"] - b["W2"] - b["W3"] == \
         q ** 3 - 2 * q ** 2 - q
 
 
+def test_building_blocks_are_one_read_only_mapping():
+    b = building_blocks()
+    assert b is building_blocks()
+    assert list(b)[:2] == ["SL2", "PGL2"] and list(b)[-2:] == ["U", "C*"]
+    with pytest.raises(TypeError):
+        b["X0"] = EPolynomial()
+
+
 def test_building_block_identities_hold():
-    assert all(building_blocks().identity_checks().values())
+    assert all(block_identities(building_blocks()).values())
+
+
+def test_block_identities_catch_a_mistranscribed_block():
+    broken = dict(building_blocks(), X2=building_blocks()["X2"] + 1)
+    checks = block_identities(broken)
+    assert not checks["X2 = W2 * Xbar2"]
+    assert not checks["X0+X1+X2+X3+X4 = SL2^2"]
+    assert checks["X3 = W3 * Xbar3"]
 
 
 def test_case_zbar_totals_match_stated():
@@ -57,10 +72,10 @@ def test_jpjp_reducible_bookkeeping():
     res = derive_case("J+J+")
     assert res.reducible_locus == 4 * q ** 2
     assert res.zbar_star == q ** 5 + q ** 4 - q ** 2 + 3 * q
-    assert building_blocks().w2 * res.zbar_star == \
+    assert building_blocks()["W2"] * res.zbar_star == \
         q**7 + q**6 - q**5 - 2*q**4 + 3*q**3 + q**2 - 3*q
     assert res.quotient_correction == EPolynomial.constant(4)
-    assert res.has_reducibles
+    assert res.quotient_divisor == building_blocks()["U"]
 
 
 def test_equal_case_reducible_bookkeeping():
@@ -68,7 +83,7 @@ def test_equal_case_reducible_bookkeeping():
     assert res.reducible_locus == (q - 1) ** 2 * (2 * q ** 2 - 1)
     assert res.zbar_star == q ** 5 + 6 * q ** 3 - 4 * q ** 2 - 3 * q
     assert res.quotient_correction == (q - 1) ** 2
-    assert res.has_reducibles
+    assert res.quotient_divisor == building_blocks()["C*"]
 
 
 def test_non_reducible_cases():
@@ -76,7 +91,7 @@ def test_non_reducible_cases():
         res = derive_case(case)
         assert res.reducible_locus is None
         assert res.zbar_star == res.zbar
-        assert not res.has_reducibles
+        assert res.quotient_correction.is_zero()
 
 
 def test_stratum_contributions_are_named_and_sum():
@@ -113,27 +128,3 @@ def test_division_failure_aborts_with_remainder():
     with pytest.raises(ExactDivisionError) as err:
         exact_divide(q ** 2 - 1, q - 2)
     assert err.value.remainder.evaluate(0) == 3
-
-
-def test_moduli_table_entries():
-    table = {entry.pair: entry for entry in moduli_table()}
-    assert table[("J-", "J-")].e_moduli == q ** 4 + q ** 3 - q + 7
-    assert table[("J-", "J-")].has_reducibles is True
-    assert table[("xi_lam", "xi_mu")].e_moduli == \
-        q ** 4 + 2 * q ** 3 + 6 * q ** 2 + 2 * q + 1
-    assert table[("xi_lam", "xi_mu")].has_reducibles is False
-    assert table[("Id", "-Id")].e_moduli == EPolynomial.constant(1)
-    assert table[("Id", "Id")].e_moduli == q ** 2 + 1
-    assert table[("Id", "J+")].e_moduli == q ** 2 - 2 * q + 3
-    assert table[("-Id", "J+")].e_moduli == q ** 2 + 3 * q
-    assert table[("Id", "xi")].e_moduli == q ** 2 + 4 * q + 1
-    assert table[("Id", "Id")].has_reducibles is None   # not stated
-    assert table[("xi_lam", "xi_lam")].has_reducibles is True
-
-
-def test_z_reduction_references():
-    refs = z_reduction_references()
-    b = building_blocks()
-    assert refs["Z00"] == b.x0
-    assert refs["Z12"] == b.x3
-    assert refs["Z14lam"] == b.x4lam
