@@ -37,6 +37,12 @@ for code in dist.sizes.nonzero()[0].tolist():
           f"size={dist.sizes[code]}")
 print(f"total pairs = {dist.fibers @ dist.sizes} = {len(group)}^2")
 
+# Off ±Id the fiber depends only on the trace: codes 2/3 (and 4/5) share
+# one fiber, so the fast path reads by_trace, one fiber per trace.
+print(f"fiber of a non-central element per trace (by_trace) at p={p}:")
+for t in range(p):
+    print(f"  trace {t:<3} fiber={dist.by_trace[t]}")
+
 # Fast path vs oracle on a fiber and on a barred set.
 target = SL2Element.diagonal(2, p)
 fast = count_commutator_fiber(p, target)

@@ -19,14 +19,15 @@ from dataclasses import dataclass, field
 
 from .counting import (ZBAR_ARITY, CommutatorFiber, DiagonalCommutatorFiber,
                        OracleRangeError, TargetSpec, XStratum, ZFull, ZbarCase,
-                       brute_force_count, fast_count, monodromy_probe)
+                       brute_force_count, fast_count, monodromy_probe,
+                       trace_histogram)
 from .epoly import EPolynomial
 from .hodge import (compact_betti_from_poincare, default_instance,
                     enumerate_tables, forced_entries)
 from .interpolate import (EXACT, QUASI, FitError, compare, consistency_check,
                           lagrange_fit)
 from .sl2 import (GeometricClass, SL2Element, W0, W1, W2, W3, W4ANY,
-                  check_prime, class_members, is_square_mod, w4)
+                  check_prime, is_square_mod, w4)
 from .strata import (CASE_IDS, block_identities, building_blocks, derive_case,
                      stated_results, stated_zbar_totals)
 
@@ -146,7 +147,7 @@ class TargetPlan:
         if isinstance(spec, Skip):
             return spec
         if isinstance(spec, GeometricClass):
-            return len(class_members(p, spec))
+            return int(trace_histogram(p, spec, SL2Element.identity(p)).sum())
         return fast_count(p, spec)
 
 

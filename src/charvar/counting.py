@@ -7,10 +7,11 @@ test-suite contract:
   fiber(g) = #{(A,B): [A,B] = g}, read in closed form from the SL(2,F_p)
   character table, with the class sizes in closed form as well (see
   commutator_fiber_distribution).  It never builds the p^3-row group
-  table.  Barred and full sets share one kernel,
-  _fiber_sum(p, S, T) = sum_{C in S} fiber(T C), one vectorised pass over
-  the O(p^2) members of the geometric class S that sl2.class_members
-  generates trace by trace:
+  table.  Off ±Id the fiber depends only on the trace (a trace's two
+  unipotent square classes share one fiber), so barred and full sets
+  share one kernel, _fiber_sum(p, S, T) = sum_{C in S} fiber(T C): the
+  O(p) histogram of tr(T C) over C in S (trace_histogram) against the
+  fiber per trace, moved to the central fiber where T C = ±Id:
   - barred sets: C = [A,B]^{-1} T forces [A,B] = T C^{-1}, and every
     geometric class is closed under inversion (trace and ±Id are
     preserved), so the count is _fiber_sum(p, S, T);
@@ -22,8 +23,8 @@ test-suite contract:
     W4any is not one orbit, but it is G minus W0..W3, and fiber(C1 C2)
     summed over every C2 in G is |G|^2.  Z is symmetric, so W4any goes to
     the second slot and Z(S, W4any) = |S| |G|^2 - sum_k Z(S, Wk), which
-    recurses once more when S is W4any too.  Each Z(S, Wk) passes over
-    the smaller of its two classes, and no pass reads W4any's p^3 members;
+    recurses once more when S is W4any too; no pass reads W4any's p^3
+    members;
 * the brute-force oracle enumerates pairs (A,B) directly with no class
   theory at all, guarded to small primes.  It works on row indices of the
   group table: a per-prime multiplication table (_cayley) turns every
@@ -53,9 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sl2 import (GeometricClass, GroupTable, SL2Element, W0, W1, W2, W3,
-                  W4ANY, check_prime, class_code, class_members, class_size,
-                  group_table, inverse_mod, is_square_mod, label_codes,
-                  mat_inv, mat_mul, w4)
+                  W4ANY, check_prime, class_code, class_size, group_table,
+                  inverse_mod, is_square_mod, mat_inv, mat_mul, w4)
 
 BRUTE_MAX_PAIR_PRIME = 13    # CommFiber / diagonal-commutator targets
 BRUTE_MAX_TUPLE_PRIME = 7    # barred sets and full tuple sets
@@ -225,10 +225,12 @@ TargetSpec = CommutatorFiber | ZbarCase | ZFull | XStratum | DiagonalCommutatorF
 @dataclass
 class ClassDistribution:
     """Per-element commutator fiber count and size of every rational class,
-    as int64 arrays indexed by class code (sl2), 0 at unused codes."""
+    as int64 arrays indexed by class code (sl2), 0 at unused codes, and
+    by_trace[t], the fiber of a non-central element of trace t."""
     p: int
     fibers: np.ndarray
     sizes: np.ndarray
+    by_trace: np.ndarray
 
     def check_consistency(self) -> None:
         n = self.p ** 3 - self.p
@@ -240,6 +242,9 @@ class ClassDistribution:
         if classes != self.p + 4:
             raise ArithmeticError(
                 f"{classes} classes realised at p={self.p}, expected {self.p+4}")
+        if self.fibers[2] != self.fibers[3] or self.fibers[4] != self.fibers[5]:
+            raise ArithmeticError(f"the unipotent square classes of one trace "
+                                  f"have different fibers at p={self.p}")
 
 
 def _closed_form_fiber(p: int, code: int) -> int:
@@ -283,13 +288,14 @@ def commutator_fiber_distribution(p: int) -> ClassDistribution:
     if p in _dist_memo:
         return _dist_memo[p]
     check_prime(p)
-    regular = [6 + t if is_square_mod(t * t - 4, p) else 6 + p + t
-               for t in range(p) if t not in (2, p - 2)]
-    dist = ClassDistribution(p, np.zeros(6 + 2 * p, dtype=np.int64),
-                             np.zeros(6 + 2 * p, dtype=np.int64))
-    for code in [*range(6), *regular]:
-        dist.fibers[code] = _closed_form_fiber(p, code)
-        dist.sizes[code] = class_size(p, code)
+    by_trace = [2 if t == 2 else 4 if t == p - 2 else
+                6 + t if is_square_mod(t * t - 4, p) else 6 + p + t
+                for t in range(p)]
+    fibers, sizes = (np.zeros(6 + 2 * p, dtype=np.int64) for _ in range(2))
+    for code in {0, 1, 3, 5, *by_trace}:
+        fibers[code] = _closed_form_fiber(p, code)
+        sizes[code] = class_size(p, code)
+    dist = ClassDistribution(p, fibers, sizes, fibers[by_trace])
     dist.check_consistency()
     _dist_memo[p] = dist
     return dist
@@ -323,11 +329,48 @@ def membership_mask(table: GroupTable, M: np.ndarray,
     return t == tm
 
 
+def trace_histogram(p: int, spec: GeometricClass, T: SL2Element) -> np.ndarray:
+    """h[s] = #{C in spec: tr(T C) = s} for spec W2, W3 or W4(lam) and an
+    upper-triangular T = [[x, y], [0, 1/x]], in O(p).
+
+    C = [[a, b], [c, t-a]] has bc = a(t-a) - 1 and tr(T C) = (x - 1/x) a
+    + t/x + y c.  When y = 0, or x != ±1 so that T is conjugate to
+    diag(x, 1/x) (h is invariant under conjugating T), it is linear in a:
+    p - 1 pairs (b, c) per a, 2p - 1 at a root of a(t-a) = 1.  Otherwise
+    it is x t + y c: p pairs (a, b) per c != 0, and p per root at c = 0.
+    W2 and W3 drop C = ±Id, at trace ±tr T.
+    """
+    check_prime(p)
+    if spec.kind not in ("W2", "W3", "W4"):
+        raise ValueError(f"no trace histogram for {spec}")
+    x, y, z, _ = T.entries()
+    if z or T.p != p:
+        raise ValueError(f"{T} is not an upper-triangular matrix mod {p}")
+    t, r = spec.trace_mod(p), np.arange(p, dtype=np.int64)
+    roots = (r * (t - r) - 1) % p == 0
+    h = np.zeros(p, dtype=np.int64)
+    if y == 0 or x not in (1, p - 1):
+        xi = inverse_mod(x, p)
+        np.add.at(h, ((x - xi) * r + t * xi) % p, np.where(roots, 2 * p - 1, p - 1))
+    else:
+        h[(x * t + y * r[1:]) % p] = p
+        h[x * t % p] += p * int(roots.sum())
+    if spec.kind != "W4":
+        h[(1 if spec.kind == "W2" else -1) * T.trace() % p] -= 1
+    return h
+
+
 def _fiber_sum(p: int, spec: GeometricClass, T: SL2Element) -> int:
-    """sum over C in spec of fiber(T C)."""
-    TC = mat_mul(p, np.array(T.entries(), dtype=np.int64), class_members(p, spec))
-    fibers = commutator_fiber_distribution(p).fibers
-    return int(fibers[label_codes(p, TC)].sum())
+    """sum over C in spec of fiber(T C), for an upper-triangular T."""
+    if spec.kind in ("W0", "W1"):
+        return count_commutator_fiber(p, T * spec.representative(p))
+    dist = commutator_fiber_distribution(p)
+    total = int(trace_histogram(p, spec, T) @ dist.by_trace)
+    # C = eps T^{-1}, in spec when T is not central, has T C = eps Id
+    for code, eps in ((0, 1), (1, -1)):
+        if eps * T.trace() % p == spec.trace_mod(p) and class_code(T) > 1:
+            total += int(dist.fibers[code] - dist.by_trace[2 * eps % p])
+    return total
 
 
 def count_zbar(p: int, case: ZbarCase) -> int:
@@ -350,10 +393,8 @@ def count_z_full(p: int, spec1: GeometricClass, spec2: GeometricClass) -> int:
     if spec2.kind != "W4any":
         return spec1.size(p) * _fiber_sum(p, spec2, spec1.representative(p))
     n = p ** 3 - p
-    # Z(S, Wk) = Z(Wk, S): pass over the smaller of the two classes
-    return spec1.size(p) * n * n - sum(
-        count_z_full(p, *sorted((spec1, w), key=lambda s: -s.size(p)))
-        for w in (W0, W1, W2, W3))
+    return spec1.size(p) * n * n - sum(count_z_full(p, spec1, w)
+                                       for w in (W0, W1, W2, W3))
 
 
 def count_x_stratum(p: int, name: str) -> int:

@@ -15,7 +15,8 @@ Two class notions coexist and must not be conflated:
 * *geometric* classes W0..W4: the closure-level classes determined by
   trace/identity tests alone.  |W2| = |W3| = p²−1 and |W4(λ)| = p²+p
   exactly, which is why geometric membership is what the counting engine
-  uses; each unipotent geometric class is the union of two rational ones.
+  uses; each unipotent geometric class is the union of two rational ones,
+  which share one commutator fiber, so the fast path reads traces only.
 
 The square-class invariant of a trace-±2 non-central M is the Legendre
 class of det(v, Nv) where N = M ∓ Id is nilpotent and v is any vector
@@ -171,8 +172,8 @@ def commutator(a: SL2Element, b: SL2Element) -> SL2Element:
 
 
 def class_code(m: SL2Element) -> int:
-    """Rational class code of one matrix: the scalar reference for
-    label_codes, and the O(1) lookup of count_commutator_fiber."""
+    """Rational class code of one matrix, the O(1) lookup of
+    count_commutator_fiber."""
     p = m.p
     t = m.trace()
     if m.is_identity():
@@ -298,54 +299,6 @@ def mat_inv(p: int, A: np.ndarray) -> np.ndarray:
     """A^{-1} mod p for determinant-one A, broadcast over the leading axes."""
     return np.stack([A[..., 3], (-A[..., 1]) % p,
                      (-A[..., 2]) % p, A[..., 0]], axis=-1)
-
-
-def label_codes(p: int, M: np.ndarray) -> np.ndarray:
-    """Rational class code of every matrix of M (see class_code)."""
-    square = np.zeros(p, dtype=bool)      # nonzero squares mod p
-    square[np.arange(1, p, dtype=np.int64) ** 2 % p] = True
-    m11, m12, m21, m22 = M[..., 0], M[..., 1], M[..., 2], M[..., 3]
-    t = (m11 + m22) % p
-    codes = np.where(square[(t * t - 4) % p], 6 + t, 6 + p + t)
-    plus = t == 2
-    minus = t == p - 2
-    detail_square = square[np.where(m21 != 0, m21, (-m12) % p)]
-    codes = np.where(plus, np.where(detail_square, 2, 3), codes)
-    codes = np.where(minus, np.where(detail_square, 4, 5), codes)
-    off_diag_zero = (m12 == 0) & (m21 == 0)
-    codes = np.where(plus & off_diag_zero & (m11 == 1), 0, codes)
-    codes = np.where(minus & off_diag_zero & (m11 == p - 1), 1, codes)
-    return codes
-
-
-def class_members(p: int, spec: GeometricClass) -> np.ndarray:
-    """The members of a geometric class as a (size, 4) int64 array, built
-    per trace in O(p^2) without enumerating the group.
-
-    A matrix of trace t is [[a, b], [c, t-a]] with bc = a(t-a) - 1: for
-    b != 0 that fixes c, and for b = 0, a is a root of a(t-a) = 1 and c is
-    free.  W2 and W3 then drop ±Id (the b = c = 0 row), W0 and W1 are their
-    one representative and W4any takes every trace t != ±2.
-    """
-    check_prime(p)
-    if spec.kind in ("W0", "W1"):
-        return np.array([spec.representative(p).entries()], dtype=np.int64)
-    if spec.kind == "W4any":
-        traces = [t for t in range(p) if t not in (2, p - 2)]
-    else:
-        traces = [spec.trace_mod(p)]
-    r = np.arange(p, dtype=np.int64)
-    t, a = np.array(traces, dtype=np.int64)[:, None], r[None, :]
-    bc = (a * (t - a) - 1) % p                                # (traces, p)
-    b = r[1:]
-    solved = np.stack(np.broadcast_arrays(
-        a[..., None], b, bc[..., None] * _inverses(p)[b] % p,
-        ((t - a) % p)[..., None]), axis=-1)
-    ti, ai = np.nonzero(bc == 0)
-    c = r[1:] if spec.kind in ("W2", "W3") else r
-    free = np.stack(np.broadcast_arrays(
-        ai[:, None], 0, c, ((t[ti, 0] - ai) % p)[:, None]), axis=-1)
-    return np.concatenate([solved.reshape(-1, 4), free.reshape(-1, 4)])
 
 
 # ---------------------------------------------------------------------------

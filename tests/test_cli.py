@@ -1,8 +1,10 @@
 import hashlib
 import json
+from types import MappingProxyType
 
 import pytest
 
+import charvar.strata as strata
 from charvar.cli import (RunConfig, ConfigError, Skip, fill, lambda_fills, main,
                          parse_class, parse_target, run_verification,
                          verification_plan)
@@ -136,6 +138,27 @@ def test_cmd_blocks_json(capsys):
     payload = json.loads(out)
     assert payload["blocks"]["Xbar2"]["coeffs"] == [0, -3, -2, 1]
     assert all(row["pass"] for row in payload["identities"])
+
+
+def test_a_broken_block_is_reported_not_raised(monkeypatch, capsys):
+    # X2 mistranscribed where the one mapping is built: both reports show
+    # the identities it breaks and exit 1, with no traceback
+    monkeypatch.setattr(strata, "MappingProxyType",
+                        lambda d: MappingProxyType({**d, "X2": d["X2"] + 1}))
+    building_blocks.cache_clear()
+    try:
+        code, out, _ = run_cli(capsys, "blocks")
+        assert code == 1
+        assert "[FAIL] X2 = W2 * Xbar2" in out and "[pass] X3 = W3 * Xbar3" in out
+        code, out, _ = run_cli(capsys, "verify", "blocks", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["summary"]["identity_failures"] == [
+            "building blocks: X0+X1+X2+X3+X4 = SL2^2",
+            "building blocks: X2 = W2 * Xbar2"]
+    finally:
+        monkeypatch.undo()
+        building_blocks.cache_clear()
+    assert run_cli(capsys, "blocks")[0] == 0
 
 
 def test_cmd_derive(capsys):

@@ -4,8 +4,10 @@ Every frozen number here was produced by the direct pair-enumeration
 oracle (brute_force_count / brute_commutator_tally) before being written
 down; fast-path agreement is the contract under test.  Above the brute
 guard, the closed-form fibers are checked against the vectorised
-class-function identity (vector_fiber), and the closed-form class sizes
-and generated class members against the group table.
+class-function identity (vector_fiber), the closed-form class sizes
+against the group table, and the O(p) trace-histogram kernel against the
+member sum it replaces: table rows masked by the oracle's class
+predicate, multiplied by T and labelled by the tests' label_codes.
 """
 
 import re
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import charvar.counting as counting
-from charvar.cli import verification_plan
+from charvar.cli import IDENTITY_ROWS, _side, lambda_fills, verification_plan
 from charvar.counting import (CommutatorFiber, DiagonalCommutatorFiber,
                               OracleRangeError, XStratum, ZFull, ZbarCase,
                               brute_commutator_tally, brute_force_count,
@@ -22,10 +24,12 @@ from charvar.counting import (CommutatorFiber, DiagonalCommutatorFiber,
                               count_commutator_fiber,
                               count_diagonal_commutator_fiber, count_x_stratum,
                               count_z_full, count_zbar, fast_count,
-                              membership_mask, monodromy_probe)
-from charvar.sl2 import (SL2Element, W0, W1, W2, W3, W4ANY, class_code,
-                         class_members, commutator, enumerate_sl2, group_table,
-                         inverse_mod, label_codes, mat_inv, mat_mul, w4)
+                              membership_mask, monodromy_probe,
+                              trace_histogram)
+from charvar.sl2 import (GroupTable, SL2Element, W0, W1, W2, W3, W4ANY,
+                         class_code, commutator, enumerate_sl2, group_table,
+                         inverse_mod, is_odd_prime, mat_inv, mat_mul, w4)
+from class_labels import label_codes
 
 
 def vector_fiber(table, g) -> int:
@@ -77,6 +81,27 @@ def test_closed_form_class_sizes_match_counted_sizes(p):
     table = group_table(p)
     counted = np.bincount(label_codes(p, table.elements), minlength=6 + 2 * p)
     assert commutator_fiber_distribution(p).sizes.tolist() == counted.tolist()
+
+
+def test_distribution_refuses_split_unipotent_fibers(monkeypatch):
+    # code 3 gets its own fiber and code 2 gives up as much, so the totals
+    # still hold and only the shared-fiber check can catch it
+    fiber = counting._closed_form_fiber
+    shift = {2: -1, 3: 1}
+    monkeypatch.setattr(counting, "_closed_form_fiber",
+                        lambda p, code: fiber(p, code) + shift.get(code, 0))
+    monkeypatch.setattr(counting, "_dist_memo", {})
+    with pytest.raises(ArithmeticError, match="unipotent square classes"):
+        commutator_fiber_distribution(7)
+
+
+def test_distribution_by_trace_reads_the_non_central_fibers():
+    p = 7
+    dist = commutator_fiber_distribution(p)
+    for m in (SL2Element.jplus(p), SL2Element(1, 3, 0, 1, p),
+              SL2Element.jminus(p), SL2Element(-1, 3, 0, -1, p),
+              *(SL2Element(a, 1, p - 1, 0, p) for a in range(p))):
+        assert dist.by_trace[m.trace()] == count_commutator_fiber(p, m), m
 
 
 def test_distribution_frozen_values_at_5():
@@ -231,18 +256,107 @@ def test_zbar_validation():
 
 
 # ---------------------------------------------------------------------------
-# full tuple sets
+# the trace-histogram kernel against the member sum
+
+
+def kernel_targets(p):
+    """±Id, ±J+, J-, every diag(mu) and, where p > 3 leaves room, one
+    upper-triangular T that is neither diagonal nor unipotent."""
+    targets = [SL2Element.identity(p), SL2Element.minus_identity(p),
+               SL2Element.jplus(p), -SL2Element.jplus(p), SL2Element.jminus(p),
+               *(SL2Element.diagonal(mu, p) for mu in range(2, p - 1))]
+    if p > 3:
+        targets.append(SL2Element(2, 1, 0, inverse_mod(2, p), p))
+    return targets
+
+
+def table_members(table, spec):
+    return table.elements[membership_mask(table, table.elements, spec)]
+
+
+def member_sum(members, T):
+    """sum of fiber(T C) over the member rows C, each product labelled."""
+    p = T.p
+    TC = mat_mul(p, np.array(T.entries(), dtype=np.int64), members)
+    return int(commutator_fiber_distribution(p).fibers[label_codes(p, TC)].sum())
+
+
+ODD_PRIMES = [p for p in range(3, 90, 2) if is_odd_prime(p)]
+
+
+@pytest.mark.parametrize("p", [p for p in ODD_PRIMES if p <= 31])
+def test_fiber_sum_matches_the_member_sum(p):
+    table = group_table(p)
+    for spec in [W0, W1, W2, W3] + [w4(lam) for lam in range(2, p - 1)]:
+        members = table_members(table, spec)
+        for T in kernel_targets(p):
+            assert counting._fiber_sum(p, spec, T) == member_sum(members, T), \
+                (spec, T)
+
+
+def plan_pairs(p, monkeypatch):
+    """The distinct (S, T) that the verify plan and the count identity
+    rows hand the kernel at p."""
+    pairs = {}
+    kernel = counting._fiber_sum
+    monkeypatch.setattr(counting, "_fiber_sum", lambda q, spec, T:
+                        pairs.setdefault((spec, T), kernel(q, spec, T)))
+    for plan in verification_plan("all"):
+        plan.count(p)
+    for _, _, rows in IDENTITY_ROWS:
+        for _, lhs, rhs, *_ in rows:
+            for f in lambda_fills(lhs + rhs, p):
+                _side(p, lhs.lstrip("#").format(**f))
+                _side(p, rhs.format(**f))
+    monkeypatch.undo()
+    return pairs
+
+
+@pytest.mark.parametrize("p", [p for p in ODD_PRIMES if p >= 37])
+def test_fiber_sum_matches_the_member_sum_on_the_plan_pairs(p, monkeypatch):
+    pairs = plan_pairs(p, monkeypatch)
+    kinds = {spec.kind for spec, _ in pairs}
+    assert kinds == {"W0", "W1", "W2", "W3", "W4"}, kinds
+    table = GroupTable(p)      # not kept: the cache would hold p^3 rows
+    members = {}
+    for (spec, T), value in pairs.items():
+        if spec not in members:
+            members[spec] = table_members(table, spec)
+        assert value == member_sum(members[spec], T), (spec, T)
 
 
 @pytest.mark.parametrize("p", [5, 7, 31])
-def test_class_members_match_the_table_mask(p):
+def test_trace_histogram_matches_the_table_mask(p):
     table = group_table(p)
-    for spec in [W0, W1, W2, W3, W4ANY] + [w4(lam) for lam in range(2, p - 1)]:
-        members = class_members(p, spec)
-        assert len(members) == spec.size(p), spec
-        mask = membership_mask(table, table.elements, spec)
-        assert {tuple(m) for m in members.tolist()} == \
-            {tuple(m) for m in table.elements[mask].tolist()}, spec
+    for spec in [W2, W3] + [w4(lam) for lam in range(2, p - 1)]:
+        members = table_members(table, spec)
+        for T in kernel_targets(p):
+            TC = mat_mul(p, np.array(T.entries(), dtype=np.int64), members)
+            traces = (TC[:, 0] + TC[:, 3]) % p
+            assert trace_histogram(p, spec, T).tolist() == \
+                np.bincount(traces, minlength=p).tolist(), (spec, T)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 31, 89, 101])
+def test_trace_histogram_at_the_identity_sums_to_the_class_size(p):
+    for spec in [W2, W3] + [w4(lam) for lam in range(2, p - 1)]:
+        h = trace_histogram(p, spec, SL2Element.identity(p))
+        assert h.sum() == spec.size(p), spec
+
+
+def test_trace_histogram_refusals():
+    p = 7
+    for T in (SL2Element(1, 0, 1, 1, p), SL2Element(2, 0, 3, 4, p),
+              SL2Element.identity(5)):
+        with pytest.raises(ValueError, match="not an upper-triangular matrix mod 7"):
+            trace_histogram(p, W2, T)
+    for spec in (W0, W1, W4ANY):
+        with pytest.raises(ValueError, match="no trace histogram"):
+            trace_histogram(p, spec, SL2Element.identity(p))
+
+
+# ---------------------------------------------------------------------------
+# full tuple sets
 
 
 def test_fast_path_builds_no_group_table():
@@ -264,8 +378,8 @@ def test_fast_path_keeps_the_prime_checks():
     for p in (9, 103):
         with pytest.raises(ValueError):
             commutator_fiber_distribution(p)
-        with pytest.raises(ValueError):
-            class_members(p, W2)
+        with pytest.raises(ValueError, match="odd prime|enumeration bound"):
+            trace_histogram(p, W2, SL2Element.identity(7))
         with pytest.raises(ValueError):
             count_diagonal_commutator_fiber(p, 2, 3, 0)
 
@@ -312,24 +426,25 @@ def test_zfull_w4any_against_oracle(p):
 
 @pytest.mark.parametrize("p", [11, 13])
 def test_zfull_w4any_against_a_direct_double_sum(p):
-    # fiber(C1 C2) summed over every generated member of W4any, no complement
+    # fiber(C1 C2) summed over every table member of W4any, no complement
+    table = group_table(p)
     lut = commutator_fiber_distribution(p).fibers
-    regular = class_members(p, W4ANY)
+    regular = table_members(table, W4ANY)
     for s in (W0, W1, W2, W3, w4(2), W4ANY):
         direct = sum(int(lut[label_codes(p, mat_mul(p, regular, c2))].sum())
-                     for c2 in class_members(p, s))
+                     for c2 in table_members(table, s))
         assert count_z_full(p, W4ANY, s) == direct, s
 
 
 def test_fast_path_never_generates_w4any(monkeypatch):
-    members = counting.class_members
+    histogram = counting.trace_histogram
 
-    def refuse_w4any(p, spec):
+    def refuse_w4any(p, spec, T):
         if spec == W4ANY:
-            raise AssertionError("the fast path generated the members of W4any")
-        return members(p, spec)
+            raise AssertionError("the fast path asked for W4any's histogram")
+        return histogram(p, spec, T)
 
-    monkeypatch.setattr(counting, "class_members", refuse_w4any)
+    monkeypatch.setattr(counting, "trace_histogram", refuse_w4any)
     specs = [W0, W1, W2, W3, w4(2), W4ANY]
     counts = {(a, b): count_z_full(89, a, b) for a in specs for b in specs}
     for a, b in counts:
@@ -626,7 +741,7 @@ def test_oracle_uses_no_class_theory(monkeypatch):
 
     monkeypatch.setattr(counting, "commutator_fiber_distribution", refuse)
     monkeypatch.setattr(counting, "_closed_form_fiber", refuse)
-    for name in ("class_members", "class_size", "label_codes", "class_code"):
+    for name in ("trace_histogram", "class_size", "class_code"):
         monkeypatch.setattr(counting, name, refuse)
     counting._commutator_counts(p)   # a histogram is held before the reset
     monkeypatch.setattr(counting, "_cayley_memo", {})

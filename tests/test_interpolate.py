@@ -11,7 +11,8 @@ from charvar.interpolate import (EXACT, INCONSISTENT, QUASI, FitError,
                                  InsufficientPointsError, NonIntegralFitError,
                                  _lagrange, compare, consistency_check,
                                  lagrange_fit)
-from charvar.sl2 import W2, class_members
+from charvar.counting import membership_mask
+from charvar.sl2 import W2, group_table
 
 PANEL = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
@@ -20,7 +21,9 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 def test_fit_w2_sizes():
-    records = [(p, len(class_members(p, W2))) for p in (5, 7, 11)]
+    tables = [group_table(p) for p in (5, 7, 11)]
+    records = [(t.p, int(membership_mask(t, t.elements, W2).sum()))
+               for t in tables]
     assert records == [(5, 24), (7, 48), (11, 120)]
     assert lagrange_fit(records, 2) == Q ** 2 - 1
 

@@ -3,10 +3,11 @@ from itertools import product
 
 import pytest
 
-from charvar.sl2 import (GeometricClass, SL2Element, class_code,
-                         class_members, class_size, commutator, enumerate_sl2,
-                         group_table, inverse_mod, label_codes, w4,
-                         W0, W1, W2, W3, W4ANY)
+from charvar.counting import membership_mask
+from charvar.sl2 import (GeometricClass, SL2Element, class_code, class_size,
+                         commutator, enumerate_sl2, group_table, inverse_mod,
+                         w4, W0, W1, W2, W3, W4ANY)
+from class_labels import label_codes
 
 
 def all_elements(p):
@@ -234,8 +235,11 @@ def test_orbit_partition(p):
 
 
 def geometric_members(p, spec):
-    """The generated members of a class, as elements in lexicographic order."""
-    return [SL2Element(*m, p) for m in sorted(class_members(p, spec).tolist())]
+    """The group-table rows in a class by the oracle's predicate, as
+    elements in lexicographic order."""
+    table = group_table(p)
+    rows = table.elements[membership_mask(table, table.elements, spec)]
+    return [SL2Element(*m, p) for m in rows.tolist()]
 
 
 def test_w0_members():
