@@ -5,7 +5,7 @@ pair-enumeration oracle.  They must agree; the oracle is the referee.
 """
 
 from charvar import (CommutatorFiber, SL2Element, ZbarCase,
-                     brute_force_count, class_code, class_size, commutator,
+                     brute_force_count, commutator,
                      commutator_fiber_distribution, count_commutator_fiber,
                      count_zbar, enumerate_sl2)
 
@@ -20,28 +20,24 @@ a = SL2Element(1, 1, 0, 1, p)
 b = SL2Element(1, 0, 1, 1, p)
 print(f"[{a.entries()}, {b.entries()}] = {commutator(a, b).entries()}")
 
-# Rational conjugacy classes: p + 4 of them, each named by an integer
-# code: 0 Id, 1 -Id, 2/3 trace 2, 4/5 trace -2, 6+t split and 6+p+t
-# nonsplit of trace t.  The trace-2 elements split into two classes told
-# apart by a quadratic-residue invariant.
-for m in (SL2Element.jplus(p), SL2Element(1, 2, 0, 1, p),
-          SL2Element.diagonal(2, p)):
-    code = class_code(m)
-    print(f"{m.entries()}: class code {code}, size {class_size(p, code)}")
+# Rational conjugacy classes: p + 4 of them, ±Id and the rest told apart
+# by trace, except that the trace-±2 elements split into two classes each
+# by a quadratic-residue invariant.  Those two classes share one commutator
+# fiber, so the counting engine reads ±Id and the trace only.
+jplus, other = SL2Element.jplus(p), SL2Element(1, 2, 0, 1, p)
+conjugates = {(g * jplus * g.inverse()).entries() for g in group}
+print(f"{other.entries()} conjugate to J+: {other.entries() in conjugates}; "
+      f"fibers {count_commutator_fiber(p, jplus)} and "
+      f"{count_commutator_fiber(p, other)}")
 
-# The commutator-fiber distribution: #{(A,B): [A,B] = g} per class.
+# The commutator-fiber distribution: #{(A,B): [A,B] = g} for g = ±Id and
+# for a non-central g of each trace, with the number of such g.
 dist = commutator_fiber_distribution(p)
-print(f"\nfiber counts per class at p={p}:")
-for code in dist.sizes.nonzero()[0].tolist():
-    print(f"  code {code:<3} fiber={dist.fibers[code]:<6} "
-          f"size={dist.sizes[code]}")
-print(f"total pairs = {dist.fibers @ dist.sizes} = {len(group)}^2")
-
-# Off ±Id the fiber depends only on the trace: codes 2/3 (and 4/5) share
-# one fiber, so the fast path reads by_trace, one fiber per trace.
-print(f"fiber of a non-central element per trace (by_trace) at p={p}:")
+print(f"\nfibers at p={p}: Id {dist.central[0]}, -Id {dist.central[1]}")
 for t in range(p):
-    print(f"  trace {t:<3} fiber={dist.by_trace[t]}")
+    print(f"  trace {t:<3} fiber={dist.fibers[t]:<6} size={dist.sizes[t]}")
+print(f"total pairs = {sum(dist.central) + dist.fibers @ dist.sizes} "
+      f"= {len(group)}^2")
 
 # Fast path vs oracle on a fiber and on a barred set.
 target = SL2Element.diagonal(2, p)

@@ -17,8 +17,7 @@ The command line front end lives in :mod:`charvar.cli`.
 
 from .epoly import EPolynomial, ExactDivisionError, Q, exact_divide
 from .sl2 import (GeometricClass, SL2Element, W0, W1, W2, W3, W4ANY,
-                  class_code, class_size, commutator,
-                  enumerate_sl2, group_table, is_square_mod, w4)
+                  commutator, enumerate_sl2, group_table, is_square_mod, w4)
 from .counting import (BRUTE_MAX_PAIR_PRIME, BRUTE_MAX_TUPLE_PRIME, XStratum,
                        ClassDistribution, CommutatorFiber,
                        DiagonalCommutatorFiber, OracleRangeError, ZFull,

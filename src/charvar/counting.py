@@ -5,13 +5,15 @@ test-suite contract:
 
 * the fast path reduces everything to the commutator-fiber class function
   fiber(g) = #{(A,B): [A,B] = g}, read in closed form from the SL(2,F_p)
-  character table, with the class sizes in closed form as well (see
-  commutator_fiber_distribution).  It never builds the p^3-row group
-  table.  Off ±Id the fiber depends only on the trace (a trace's two
-  unipotent square classes share one fiber), so barred and full sets
-  share one kernel, _fiber_sum(p, S, T) = sum_{C in S} fiber(T C): the
-  O(p) histogram of tr(T C) over C in S (trace_histogram) against the
-  fiber per trace, moved to the central fiber where T C = ±Id:
+  character table.  Off ±Id the fiber depends only on the trace (a
+  trace's two unipotent square classes share one fiber), so the
+  distribution holds the two central fibers and one fiber per trace, with
+  the number of non-central elements per trace in closed form as well
+  (see commutator_fiber_distribution).  It never builds the p^3-row group
+  table.  Barred and full sets share one kernel, _fiber_sum(p, S, T) =
+  sum_{C in S} fiber(T C): the O(p) histogram of tr(T C) over C in S
+  (trace_histogram) against the fiber per trace, moved to the central
+  fiber where T C = ±Id:
   - barred sets: C = [A,B]^{-1} T forces [A,B] = T C^{-1}, and every
     geometric class is closed under inversion (trace and ±Id are
     preserved), so the count is _fiber_sum(p, S, T);
@@ -54,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sl2 import (GeometricClass, GroupTable, SL2Element, W0, W1, W2, W3,
-                  W4ANY, check_prime, class_code, class_size, group_table,
-                  inverse_mod, is_square_mod, mat_inv, mat_mul, w4)
+                  W4ANY, check_prime, group_table, inverse_mod, is_square_mod,
+                  mat_inv, mat_mul, w4)
 
 BRUTE_MAX_PAIR_PRIME = 13    # CommFiber / diagonal-commutator targets
 BRUTE_MAX_TUPLE_PRIME = 7    # barred sets and full tuple sets
@@ -86,9 +88,6 @@ class CommutatorFiber:
 
 
 ZBAR_ARITY = {"zbar22": 0, "zbar23": 0, "zbar24": 1, "zbar34": 1, "zbar44": 2}
-# stratum tag -> the range of class codes (sl2) its commutator lies in
-X_STRATA = {"X0": slice(0, 1), "X1": slice(1, 2), "X2": slice(2, 4),
-            "X3": slice(4, 6), "X4": slice(6, None)}
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,7 @@ class XStratum:
     tag: str
 
     def __post_init__(self):
-        if self.tag not in X_STRATA:
+        if self.tag not in ("X0", "X1", "X2", "X3", "X4"):
             raise ValueError(f"unknown stratum {self.tag!r}")
 
     def geometric_union(self) -> GeometricClass:
@@ -224,51 +223,45 @@ TargetSpec = CommutatorFiber | ZbarCase | ZFull | XStratum | DiagonalCommutatorF
 
 @dataclass
 class ClassDistribution:
-    """Per-element commutator fiber count and size of every rational class,
-    as int64 arrays indexed by class code (sl2), 0 at unused codes, and
-    by_trace[t], the fiber of a non-central element of trace t."""
+    """The commutator fibers of Id and -Id (central), and per trace t the
+    fiber of a non-central element of trace t (fibers[t]) and the number of
+    such elements (sizes[t]), as int64 arrays."""
     p: int
+    central: tuple[int, int]
     fibers: np.ndarray
     sizes: np.ndarray
-    by_trace: np.ndarray
 
     def check_consistency(self) -> None:
+        """Raise unless the sizes with ±Id count |G| elements and the
+        fibers |G|^2 pairs, summed in Python ints, which cannot wrap."""
         n = self.p ** 3 - self.p
-        total = int(self.fibers @ self.sizes)
-        if total != n * n:
+        sizes = self.sizes.tolist()
+        total = sum(self.central) + sum(f * s for f, s in
+                                        zip(self.fibers.tolist(), sizes))
+        if sum(sizes) + 2 != n or total != n * n:
             raise ArithmeticError(
-                f"fiber totals {total} != |G|^2 = {n*n} at p={self.p}")
-        classes = np.count_nonzero(self.sizes)
-        if classes != self.p + 4:
-            raise ArithmeticError(
-                f"{classes} classes realised at p={self.p}, expected {self.p+4}")
-        if self.fibers[2] != self.fibers[3] or self.fibers[4] != self.fibers[5]:
-            raise ArithmeticError(f"the unipotent square classes of one trace "
-                                  f"have different fibers at p={self.p}")
+                f"{sum(sizes) + 2} elements and {total} pairs counted at "
+                f"p={self.p}, expected |G| = {n} and |G|^2 = {n * n}")
 
 
-def _closed_form_fiber(p: int, code: int) -> int:
-    """#{(A,B): [A,B] = g} for g in the rational class `code`.
+def _closed_form_fiber(p: int, t: int) -> int:
+    """#{(A,B): [A,B] = g} for a non-central g of trace t.
 
     Frobenius: the fiber is |G| sum_chi chi(g)/chi(1) over the irreducible
     characters of SL(2,F_q) (Fulton-Harris 5.2).  Every sum of roots of
     unity in it cancels by orthogonality, leaving a polynomial in q that
-    depends only on eps = (-1)^((q-1)/2) for U-, and for a regular class of
-    trace t on ell = +1 when t+2 is a square mod q (the Legendre symbol of
-    lam for diag(lam, 1/lam)).
+    depends only on eps = (-1)^((q-1)/2) at trace -2, and off ±2 on whether
+    t^2 - 4 is a square (split or nonsplit) and on ell = +1 when t+2 is a
+    square mod q (the Legendre symbol of lam for diag(lam, 1/lam)).
     """
     q = p
-    if code == 0:
-        return (q ** 3 - q) * (q + 4)
-    if code == 1:
-        return q ** 3 - q
-    if code < 4:
+    if t == 2:
         return q ** 3 - 2 * q ** 2 - 3 * q
-    if code < 6:
+    if t == q - 2:
         eps = 1 if q % 4 == 1 else -1
         return q ** 3 + 3 * eps * q ** 2
-    ell = is_square_mod((code - 6) % q + 2, q)
-    if code < 6 + q:
+    ell = is_square_mod(t + 2, q)
+    if is_square_mod(t * t - 4, q):
         return q ** 3 + 3 * q ** 2 - 3 * q - 1 if ell else (q - 1) ** 3
     return q ** 3 - 3 * q ** 2 - 3 * q + 1 if ell else (q + 1) ** 3
 
@@ -277,25 +270,25 @@ _dist_memo: dict[int, ClassDistribution] = {}
 
 
 def commutator_fiber_distribution(p: int) -> ClassDistribution:
-    """Fiber count and size per rational class, memoised per prime; no group
+    """Fibers and element counts by trace, memoised per prime; no group
     table is built.
 
-    The classes are ±Id, the four unipotent square classes and one class
-    per trace t != ±2, split when t^2 - 4 is a square.  Fibers and sizes
-    both come in closed form, and the totals check the fibers against
-    |G|^2 pairs over p + 4 classes.
+    Fibers come in closed form, and so do the sizes: p^2 - 1 non-central
+    elements at trace ±2, p^2 + p at a split trace (t^2 - 4 a nonzero
+    square) and p^2 - p at a nonsplit one.  The totals check both against
+    |G| elements and |G|^2 pairs.
     """
     if p in _dist_memo:
         return _dist_memo[p]
     check_prime(p)
-    by_trace = [2 if t == 2 else 4 if t == p - 2 else
-                6 + t if is_square_mod(t * t - 4, p) else 6 + p + t
-                for t in range(p)]
-    fibers, sizes = (np.zeros(6 + 2 * p, dtype=np.int64) for _ in range(2))
-    for code in {0, 1, 3, 5, *by_trace}:
-        fibers[code] = _closed_form_fiber(p, code)
-        sizes[code] = class_size(p, code)
-    dist = ClassDistribution(p, fibers, sizes, fibers[by_trace])
+    n = p ** 3 - p
+    sizes = [p * p - 1 if t in (2, p - 2) else
+             p * p + p if is_square_mod(t * t - 4, p) else p * p - p
+             for t in range(p)]
+    fibers = [_closed_form_fiber(p, t) for t in range(p)]
+    central = (n * (p + 4), n)      # the fibers of Id and -Id
+    dist = ClassDistribution(p, central, np.array(fibers, dtype=np.int64),
+                             np.array(sizes, dtype=np.int64))
     dist.check_consistency()
     _dist_memo[p] = dist
     return dist
@@ -308,7 +301,10 @@ def commutator_fiber_distribution(p: int) -> ClassDistribution:
 def count_commutator_fiber(p: int, target: SL2Element) -> int:
     if target.p != p:
         raise ValueError(f"target lives mod {target.p}, not {p}")
-    return int(commutator_fiber_distribution(p).fibers[class_code(target)])
+    dist = commutator_fiber_distribution(p)
+    if target.is_identity() or target.is_minus_identity():
+        return dist.central[target.is_minus_identity()]
+    return int(dist.fibers[target.trace()])
 
 
 def membership_mask(table: GroupTable, M: np.ndarray,
@@ -365,11 +361,12 @@ def _fiber_sum(p: int, spec: GeometricClass, T: SL2Element) -> int:
     if spec.kind in ("W0", "W1"):
         return count_commutator_fiber(p, T * spec.representative(p))
     dist = commutator_fiber_distribution(p)
-    total = int(trace_histogram(p, spec, T) @ dist.by_trace)
+    total = int(trace_histogram(p, spec, T) @ dist.fibers)
     # C = eps T^{-1}, in spec when T is not central, has T C = eps Id
-    for code, eps in ((0, 1), (1, -1)):
-        if eps * T.trace() % p == spec.trace_mod(p) and class_code(T) > 1:
-            total += int(dist.fibers[code] - dist.by_trace[2 * eps % p])
+    central = T.is_identity() or T.is_minus_identity()
+    for fiber, eps in zip(dist.central, (1, -1)):
+        if eps * T.trace() % p == spec.trace_mod(p) and not central:
+            total += fiber - int(dist.fibers[2 * eps % p])
     return total
 
 
@@ -398,12 +395,17 @@ def count_z_full(p: int, spec1: GeometricClass, spec2: GeometricClass) -> int:
 
 
 def count_x_stratum(p: int, name: str) -> int:
-    """F_p points of the commutator preimage of a geometric class union."""
-    if name not in X_STRATA:
-        raise ValueError(f"unknown stratum {name!r}")
+    """F_p points of the commutator preimage of a geometric class union:
+    a central fiber, or fibers weighted by sizes over the union's traces."""
+    union = XStratum(name).geometric_union()
     dist = commutator_fiber_distribution(p)
-    codes = X_STRATA[name]
-    return int(dist.fibers[codes] @ dist.sizes[codes])
+    if union in (W0, W1):
+        return dist.central[union == W1]
+    weighted = dist.fibers * dist.sizes
+    t = union.trace_mod(p)
+    if t is None:
+        return int(weighted.sum() - weighted[2] - weighted[p - 2])
+    return int(weighted[t])
 
 
 def _diagonal_commutator_targets(p: int, lam: int, mu: int, t2: int,

@@ -5,23 +5,13 @@ Two class notions coexist and must not be conflated:
 * *rational* classes: orbits under SL(2,F_p)-conjugation.  There are p+4
   of them: two central, four unipotent-type (trace ±2 split by a
   quadratic-residue invariant), and one regular class per trace t ≠ ±2
-  (split when t²−4 is a nonzero square mod p, nonsplit otherwise).  A
-  rational class is named by its integer class code:
-
-      0 Id, 1 −Id, 2/3 trace 2 square/nonsquare, 4/5 trace −2
-      square/nonsquare, 6+t split of trace t, 6+p+t nonsplit of trace t,
-
-  so the codes run over 0..6+2p−1 and p+2 of them name no class.
+  (split when t²−4 is a nonzero square mod p, nonsplit otherwise).  The
+  library never names them: a trace's two unipotent classes share one
+  commutator fiber, so the counting engine reads ±Id and the trace only.
 * *geometric* classes W0..W4: the closure-level classes determined by
   trace/identity tests alone.  |W2| = |W3| = p²−1 and |W4(λ)| = p²+p
   exactly, which is why geometric membership is what the counting engine
-  uses; each unipotent geometric class is the union of two rational ones,
-  which share one commutator fiber, so the fast path reads traces only.
-
-The square-class invariant of a trace-±2 non-central M is the Legendre
-class of det(v, Nv) where N = M ∓ Id is nilpotent and v is any vector
-outside ker N; changing v scales the determinant by a square, and
-SL(2)-conjugation preserves it.
+  uses; each unipotent geometric class is the union of two rational ones.
 """
 
 from __future__ import annotations
@@ -169,33 +159,6 @@ def commutator(a: SL2Element, b: SL2Element) -> SL2Element:
     if a.p != b.p:
         raise ValueError("mixed moduli")
     return a * b * a.inverse() * b.inverse()
-
-
-def class_code(m: SL2Element) -> int:
-    """Rational class code of one matrix, the O(1) lookup of
-    count_commutator_fiber."""
-    p = m.p
-    t = m.trace()
-    if m.is_identity():
-        return 0
-    if m.is_minus_identity():
-        return 1
-    if t == 2 or t == p - 2:
-        # N = M -+ Id is nilpotent nonzero; det(v, Nv) with v = e1 is n21,
-        # falling back to v = e2 (giving -n12) when e1 lies in ker N.
-        val = m.m21 if m.m21 else (-m.m12) % p
-        return (2 if t == 2 else 4) + (0 if is_square_mod(val, p) else 1)
-    return 6 + t if is_square_mod(t * t - 4, p) else 6 + p + t
-
-
-def class_size(p: int, code: int) -> int:
-    """|G| / |C(g)| for g of class `code`: 1 for ±Id, (p^2 - 1)/2 for the
-    unipotent classes, p^2 + p split and p^2 - p nonsplit."""
-    if code < 2:
-        return 1
-    if code < 6:
-        return (p * p - 1) // 2
-    return p * p + p if code < 6 + p else p * p - p
 
 
 # ---------------------------------------------------------------------------

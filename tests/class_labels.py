@@ -1,16 +1,29 @@
-"""The tests' vectorised class classifier, a reference for the kernel.
+"""The tests' rational-class classifier.
 
-The library names one matrix's class with sl2.class_code and never labels
-arrays of matrices: its fast path reads traces only.  The tests label
-group-table rows and matrix products with label_codes, which
-test_sl2 checks against class_code row by row.
+The library never names rational classes: off ±Id it reads commutator
+fibers by trace, because a trace's two unipotent square classes share one
+fiber.  The tests keep the finer split to check that fold against the
+oracle: label_codes names the class of every matrix of an array by an
+integer code,
+
+    0 Id, 1 −Id, 2/3 trace 2 square/nonsquare, 4/5 trace −2
+    square/nonsquare, 6+t split of trace t, 6+p+t nonsplit of trace t,
+
+so the codes run over 0..6+2p−1 and p+2 of them name no class.  test_sl2
+checks that the codes are exactly the brute-force conjugation orbits.
+
+The square-class invariant of a trace-±2 non-central M is the Legendre
+class of det(v, Nv) where N = M ∓ Id is nilpotent and v is any vector
+outside ker N; changing v scales the determinant by a square, and
+SL(2)-conjugation preserves it.  With v = e1 the determinant is n21,
+falling back to v = e2 (giving −n12) when e1 lies in ker N.
 """
 
 import numpy as np
 
 
 def label_codes(p: int, M: np.ndarray) -> np.ndarray:
-    """Rational class code of every matrix of M (see sl2.class_code)."""
+    """Rational class code of every matrix of M, shape (..., 4)."""
     square = np.zeros(p, dtype=bool)      # nonzero squares mod p
     square[np.arange(1, p, dtype=np.int64) ** 2 % p] = True
     m11, m12, m21, m22 = M[..., 0], M[..., 1], M[..., 2], M[..., 3]

@@ -17,15 +17,15 @@ import time
 from charvar.cli import RunConfig, run_verification
 from charvar.counting import (CommutatorFiber, ZFull, ZbarCase,
                               brute_commutator_tally, brute_force_count,
-                              commutator_fiber_distribution,
-                              count_z_full, count_zbar)
+                              count_commutator_fiber, count_z_full,
+                              count_zbar)
 from charvar.epoly import EPolynomial, Q
 from charvar.hodge import (brute_force_tables, compact_betti_from_poincare,
                            default_instance, enumerate_tables, forced_entries)
 from charvar.interpolate import (EXACT, INCONSISTENT, consistency_check,
                                  lagrange_fit)
 from charvar.sl2 import (SL2Element, W0, W1, W2, W3, W4ANY,
-                         class_code, enumerate_sl2, w4)
+                         enumerate_sl2, w4)
 from charvar.strata import CASE_IDS, derive_case, stated_results, \
     stated_zbar_totals
 
@@ -129,9 +129,8 @@ def test_criterion_3_oracle_equivalence():
         # commutator fibers: every element at p = 3, 5, 7
         for p in (3, 5, 7):
             tally = brute_commutator_tally(p)
-            dist = commutator_fiber_distribution(p)
             for m in enumerate_sl2(p):
-                assert dist.fibers[class_code(m)] == \
+                assert count_commutator_fiber(p, m) == \
                     tally.get(m.entries(), 0), (p, m)
 
         # spot values, each confirmed by the oracle

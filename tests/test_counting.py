@@ -2,14 +2,17 @@
 
 Every frozen number here was produced by the direct pair-enumeration
 oracle (brute_force_count / brute_commutator_tally) before being written
-down; fast-path agreement is the contract under test.  Above the brute
-guard, the closed-form fibers are checked against the vectorised
-class-function identity (vector_fiber), the closed-form class sizes
-against the group table, and the O(p) trace-histogram kernel against the
-member sum it replaces: table rows masked by the oracle's class
-predicate, multiplied by T and labelled by the tests' label_codes.
+down; fast-path agreement is the contract under test.  The fast path
+reads fibers by trace off ±Id; that fold is checked against the oracle at
+every element up to the pair guard and, above it, against the vectorised
+class-function identity (vector_fiber) on every rational class of the
+tests' label_codes.  The closed-form sizes per trace are checked against
+the group table, and the O(p) trace-histogram kernel against the member
+sum it replaces: table rows masked by the oracle's class predicate,
+multiplied by T, each product's fiber read on its own (element_fibers).
 """
 
+import dataclasses
 import re
 
 import numpy as np
@@ -18,17 +21,17 @@ import pytest
 import charvar.counting as counting
 from charvar.cli import IDENTITY_ROWS, _side, lambda_fills, verification_plan
 from charvar.counting import (CommutatorFiber, DiagonalCommutatorFiber,
-                              OracleRangeError, XStratum, ZFull, ZbarCase,
-                              brute_commutator_tally, brute_force_count,
-                              commutator_fiber_distribution,
+                              ClassDistribution, OracleRangeError, XStratum,
+                              ZFull, ZbarCase, brute_commutator_tally,
+                              brute_force_count, commutator_fiber_distribution,
                               count_commutator_fiber,
                               count_diagonal_commutator_fiber, count_x_stratum,
                               count_z_full, count_zbar, fast_count,
                               membership_mask, monodromy_probe,
                               trace_histogram)
 from charvar.sl2 import (GroupTable, SL2Element, W0, W1, W2, W3, W4ANY,
-                         class_code, commutator, enumerate_sl2, group_table,
-                         inverse_mod, is_odd_prime, mat_inv, mat_mul, w4)
+                         commutator, enumerate_sl2, group_table, inverse_mod,
+                         is_odd_prime, mat_inv, mat_mul, w4)
 from class_labels import label_codes
 
 
@@ -44,8 +47,8 @@ def vector_fiber(table, g) -> int:
     M = mat_mul(p, inverses, np.array(g, dtype=np.int64))
     hit = label_codes(p, M) == label_codes(p, inverses)
     codes = label_codes(p, table.elements)
-    class_size = np.bincount(codes)
-    return int((table.n // class_size[codes[hit]]).sum())
+    code_sizes = np.bincount(codes)
+    return int((table.n // code_sizes[codes[hit]]).sum())
 
 
 def class_rows(table):
@@ -56,6 +59,26 @@ def class_rows(table):
             for code, row in zip(codes.tolist(), rows.tolist())]
 
 
+def element_fibers(p, M):
+    """fiber of every matrix of M (shape (..., 4)), each read on its own:
+    the central fiber at ±Id, the fiber of its trace elsewhere."""
+    dist = commutator_fiber_distribution(p)
+    scalar = (M[..., 1] == 0) & (M[..., 2] == 0)
+    fibers = np.where(scalar & (M[..., 0] == 1), dist.central[0],
+                      dist.fibers[(M[..., 0] + M[..., 3]) % p])
+    return np.where(scalar & (M[..., 0] == p - 1), dist.central[1], fibers)
+
+
+def non_central_sizes(p):
+    """#{g != ±Id: tr g = t} per t, counted from the determinant: p - 1
+    pairs (b, c) solve bc = a(t - a) - 1 for each a, 2p - 1 at a root."""
+    r = np.arange(p, dtype=np.int64)
+    sizes = np.array([p * p - p + p * int(((r * (t - r) - 1) % p == 0).sum())
+                      for t in range(p)], dtype=np.int64)
+    sizes[[2, p - 2]] -= 1
+    return sizes
+
+
 # ---------------------------------------------------------------------------
 # distribution structure
 
@@ -64,72 +87,72 @@ def class_rows(table):
 def test_distribution_consistency(p):
     dist = commutator_fiber_distribution(p)
     n = p ** 3 - p
-    assert np.count_nonzero(dist.sizes) == p + 4
-    assert int(dist.fibers @ dist.sizes) == n * n
+    assert int(dist.sizes.sum()) + 2 == n
+    assert sum(dist.central) + int(dist.fibers @ dist.sizes) == n * n
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_closed_form_fibers_match_vector_identity(p):
+    # one element of each of the p + 4 rational classes, so both unipotent
+    # classes of each trace ±2 are checked against their shared fiber
     table = group_table(p)
-    dist = commutator_fiber_distribution(p)
-    for code, g in class_rows(table):
-        assert dist.fibers[code] == vector_fiber(table, g), code
+    rows = class_rows(table)
+    assert len(rows) == p + 4
+    for code, g in rows:
+        assert count_commutator_fiber(p, SL2Element(*g, p)) == \
+            vector_fiber(table, g), code
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_closed_form_class_sizes_match_counted_sizes(p):
     table = group_table(p)
-    counted = np.bincount(label_codes(p, table.elements), minlength=6 + 2 * p)
+    M = table.elements
+    central = membership_mask(table, M, W0) | membership_mask(table, M, W1)
+    counted = np.bincount((M[~central, 0] + M[~central, 3]) % p, minlength=p)
     assert commutator_fiber_distribution(p).sizes.tolist() == counted.tolist()
+    assert non_central_sizes(p).tolist() == counted.tolist()
 
 
-def test_distribution_refuses_split_unipotent_fibers(monkeypatch):
-    # code 3 gets its own fiber and code 2 gives up as much, so the totals
-    # still hold and only the shared-fiber check can catch it
-    fiber = counting._closed_form_fiber
-    shift = {2: -1, 3: 1}
-    monkeypatch.setattr(counting, "_closed_form_fiber",
-                        lambda p, code: fiber(p, code) + shift.get(code, 0))
-    monkeypatch.setattr(counting, "_dist_memo", {})
-    with pytest.raises(ArithmeticError, match="unipotent square classes"):
-        commutator_fiber_distribution(7)
+def test_check_consistency_refuses_an_off_by_one_fiber_or_size():
+    dist = commutator_fiber_distribution(7)
+    for field in ("fibers", "sizes"):
+        values = getattr(dist, field).copy()
+        values[3] += 1
+        with pytest.raises(ArithmeticError, match="expected"):
+            dataclasses.replace(dist, **{field: values}).check_consistency()
 
 
-def test_distribution_by_trace_reads_the_non_central_fibers():
-    p = 7
-    dist = commutator_fiber_distribution(p)
-    for m in (SL2Element.jplus(p), SL2Element(1, 3, 0, 1, p),
-              SL2Element.jminus(p), SL2Element(-1, 3, 0, -1, p),
-              *(SL2Element(a, 1, p - 1, 0, p) for a in range(p))):
-        assert dist.by_trace[m.trace()] == count_commutator_fiber(p, m), m
+def test_check_consistency_sums_exactly_above_int64():
+    # at p = 1451 the pairs total |G|^2 > 2^63, so an int64 dot product of
+    # fibers and sizes wraps; the check sums in Python ints
+    p = 1451
+    n = p ** 3 - p
+    fibers = np.array([counting._closed_form_fiber(p, t) for t in range(p)],
+                      dtype=np.int64)
+    dist = ClassDistribution(p, (n * (p + 4), n), fibers, non_central_sizes(p))
+    dist.check_consistency()
+    assert sum(dist.central) + int(fibers @ dist.sizes) != n * n
 
 
 def test_distribution_frozen_values_at_5():
-    p = 5
-    dist = commutator_fiber_distribution(p)
-    used = dist.sizes > 0
-
-    def fibers(lo, hi):
-        return set(dist.fibers[lo:hi][used[lo:hi]].tolist())
-
-    assert fibers(0, 1) == {1080}              # Id
-    assert fibers(1, 2) == {120}               # -Id
-    assert fibers(2, 4) == {60}                # trace 2
-    assert fibers(4, 6) == {200}               # trace -2
-    assert fibers(6, 6 + p) == {64}            # split
-    assert fibers(6 + p, 6 + 2 * p) == {216, 36}   # nonsplit
+    dist = commutator_fiber_distribution(5)
+    assert dist.central == (1080, 120)                  # Id, -Id
+    # trace 0 split, 1 and 4 nonsplit, 2 and 3 = -2 unipotent
+    assert dist.fibers.tolist() == [64, 216, 60, 200, 36]
+    assert dist.sizes.tolist() == [30, 20, 24, 24, 20]
 
 
 # ---------------------------------------------------------------------------
 # commutator fibers: fast path vs oracle
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_fiber_oracle_equivalence_all_classes(p):
+    # every element, so both unipotent classes of each trace ±2 meet the
+    # oracle through the one fiber the fast path reads for their trace
     tally = brute_commutator_tally(p)
-    dist = commutator_fiber_distribution(p)
-    for code, g in class_rows(group_table(p)):
-        assert dist.fibers[code] == tally.get(g, 0), code
+    for m in enumerate_sl2(p):
+        assert count_commutator_fiber(p, m) == tally.get(m.entries(), 0), m
 
 
 def test_fiber_oracle_equivalence_at_11():
@@ -181,7 +204,7 @@ def test_fiber_at_3():
 def test_fiber_is_class_function():
     p = 7
     g = SL2Element(3, 1, 2, 1, p)   # trace 4, nonsplit at 7
-    assert class_code(g) == 6 + p + 4          # nonsplit of trace 4
+    assert label_codes(p, np.array(g.entries())) == 6 + p + 4   # nonsplit
     h = SL2Element(1, 2, 3, 0, p)
     conj = h * g * h.inverse()
     assert count_commutator_fiber(p, g) == count_commutator_fiber(p, conj)
@@ -275,10 +298,10 @@ def table_members(table, spec):
 
 
 def member_sum(members, T):
-    """sum of fiber(T C) over the member rows C, each product labelled."""
+    """sum of fiber(T C) over the member rows C, each product read alone."""
     p = T.p
     TC = mat_mul(p, np.array(T.entries(), dtype=np.int64), members)
-    return int(commutator_fiber_distribution(p).fibers[label_codes(p, TC)].sum())
+    return int(element_fibers(p, TC).sum())
 
 
 ODD_PRIMES = [p for p in range(3, 90, 2) if is_odd_prime(p)]
@@ -428,10 +451,9 @@ def test_zfull_w4any_against_oracle(p):
 def test_zfull_w4any_against_a_direct_double_sum(p):
     # fiber(C1 C2) summed over every table member of W4any, no complement
     table = group_table(p)
-    lut = commutator_fiber_distribution(p).fibers
     regular = table_members(table, W4ANY)
     for s in (W0, W1, W2, W3, w4(2), W4ANY):
-        direct = sum(int(lut[label_codes(p, mat_mul(p, regular, c2))].sum())
+        direct = sum(int(element_fibers(p, mat_mul(p, regular, c2)).sum())
                      for c2 in table_members(table, s))
         assert count_z_full(p, W4ANY, s) == direct, s
 
@@ -730,18 +752,16 @@ def test_oracle_uses_no_class_theory(monkeypatch):
     specs = [CommutatorFiber(SL2Element.jminus(p)), ZbarCase("zbar44", 2, 2),
              ZFull(W2, w4(2)), XStratum("X3"), DiagonalCommutatorFiber(2, 3, 0)]
     expected = [fast_count(p, spec) for spec in specs]
-    dist = commutator_fiber_distribution(p)
-    tally_expected = {g: dist.fibers[code]
-                      for code, g in class_rows(group_table(p))}
+    tally_expected = {m.entries(): count_commutator_fiber(p, m)
+                      for m in enumerate_sl2(p)}
     # the table the oracle reads holds entries only, no class data
     assert set(vars(group_table(p))) == {"p", "elements", "n"}
 
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle used the class distribution")
 
-    monkeypatch.setattr(counting, "commutator_fiber_distribution", refuse)
-    monkeypatch.setattr(counting, "_closed_form_fiber", refuse)
-    for name in ("trace_histogram", "class_size", "class_code"):
+    for name in ("commutator_fiber_distribution", "_closed_form_fiber",
+                 "trace_histogram"):
         monkeypatch.setattr(counting, name, refuse)
     counting._commutator_counts(p)   # a histogram is held before the reset
     monkeypatch.setattr(counting, "_cayley_memo", {})

@@ -1,17 +1,27 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from charvar.counting import membership_mask
-from charvar.sl2 import (GeometricClass, SL2Element, class_code, class_size,
-                         commutator, enumerate_sl2, group_table, inverse_mod,
-                         w4, W0, W1, W2, W3, W4ANY)
+from charvar.sl2 import (GeometricClass, SL2Element, commutator, enumerate_sl2,
+                         group_table, inverse_mod, w4, W0, W1, W2, W3, W4ANY)
 from class_labels import label_codes
 
 
 def all_elements(p):
     return list(enumerate_sl2(p))
+
+
+def code_of(m):
+    """label_codes of one element."""
+    return int(label_codes(m.p, np.array(m.entries(), dtype=np.int64)))
+
+
+def code_sizes(p):
+    """Number of group-table rows per label code."""
+    return np.bincount(label_codes(p, group_table(p).elements))
 
 
 def det_filter_oracle(p):
@@ -110,28 +120,27 @@ def test_commutator_rejects_mixed_moduli():
 
 
 def test_central_labels():
-    assert class_code(SL2Element.minus_identity(5)) == 1
-    assert class_code(SL2Element.identity(5)) == 0
+    assert code_of(SL2Element.minus_identity(5)) == 1
+    assert code_of(SL2Element.identity(5)) == 0
 
 
 def test_jplus_label_at_5():
-    assert class_code(SL2Element.jplus(5)) == 2     # trace 2, square
+    assert code_of(SL2Element.jplus(5)) == 2     # trace 2, square
 
 
 def test_offdiagonal_two_is_other_unipotent_class_at_5():
     m = SL2Element(1, 2, 0, 1, 5)
-    assert class_code(m) == 3                       # trace 2, nonsquare
+    assert code_of(m) == 3                       # trace 2, nonsquare
     # exhaustive conjugacy search: not conjugate to J+
     jplus = SL2Element.jplus(5)
     conjugates = {(g * jplus * g.inverse()).entries() for g in enumerate_sl2(5)}
     assert m.entries() not in conjugates
-    assert len(conjugates) == class_size(5, class_code(jplus))
+    assert len(conjugates) == code_sizes(5)[code_of(jplus)] == 12
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_number_of_realized_labels_is_p_plus_4(p):
-    codes = {class_code(m) for m in enumerate_sl2(p)}
-    assert len(codes) == p + 4
+    assert np.count_nonzero(code_sizes(p)) == p + 4
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
@@ -141,13 +150,13 @@ def test_label_is_conjugation_invariant(p):
     for _ in range(1000):
         m = rng.choice(elements)
         g = rng.choice(elements)
-        assert class_code(g * m * g.inverse()) == class_code(m)
+        assert code_of(g * m * g.inverse()) == code_of(m)
 
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_codes_induce_the_conjugacy_partition(p):
     """Orbits by brute-force conjugation are exactly the code classes, p + 4
-    of them, each of size class_size."""
+    of them."""
     group = all_elements(p)
     orbits, seen = [], set()
     for m in group:
@@ -158,19 +167,16 @@ def test_codes_induce_the_conjugacy_partition(p):
         orbits.append(orbit)
     by_code = {}
     for m in group:
-        by_code.setdefault(class_code(m), set()).add(m.entries())
+        by_code.setdefault(code_of(m), set()).add(m.entries())
     assert {frozenset(o) for o in orbits} == \
         {frozenset(v) for v in by_code.values()}
     assert len(by_code) == p + 4
-    for code, members in by_code.items():
-        assert class_size(p, code) == len(members), code
 
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_unipotent_details_match_exhaustive_conjugacy_oracle(p):
     """The square-class flag separates trace ±2 non-central elements exactly
     as SL2-conjugacy does."""
-    table = group_table(p)
     group = all_elements(p)
     for trace_sign in (2, p - 2):
         members = [m for m in group
@@ -178,7 +184,7 @@ def test_unipotent_details_match_exhaustive_conjugacy_oracle(p):
                    and not (m.is_identity() or m.is_minus_identity())]
         by_code = {}
         for m in members:
-            by_code.setdefault(class_code(m), set()).add(m.entries())
+            by_code.setdefault(code_of(m), set()).add(m.entries())
         assert len(by_code) == 2
         # brute orbits
         seed = members[0]
@@ -186,48 +192,44 @@ def test_unipotent_details_match_exhaustive_conjugacy_oracle(p):
         rest = {m.entries() for m in members} - orbit1
         assert {frozenset(v) for v in by_code.values()} == \
             {frozenset(orbit1), frozenset(rest)}
-    del table
 
 
 # ---------------------------------------------------------------------------
 # centralizers
 
 
+def centralizer_order(group, m):
+    return sum(1 for g in group if g * m == m * g)
+
+
 def test_centralizer_examples():
     p = 5
-    n = p ** 3 - p
-    # |C(m)| = |G| / class size
-    assert n // class_size(p, class_code(SL2Element.identity(p))) == 120
-    assert n // class_size(p, class_code(SL2Element.jplus(p))) == 10
-    assert n // class_size(p, class_code(SL2Element.diagonal(2, p))) == 4
+    group = all_elements(p)
+    assert centralizer_order(group, SL2Element.identity(p)) == 120
+    assert centralizer_order(group, SL2Element.jplus(p)) == 10
+    assert centralizer_order(group, SL2Element.diagonal(2, p)) == 4
 
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_centralizer_matches_brute_count_per_class(p):
+    """Orbit-stabiliser: each code class has |G| / |C(m)| elements."""
     group = all_elements(p)
+    sizes = code_sizes(p)
     seen = set()
     for m in group:
-        code = class_code(m)
+        code = code_of(m)
         if code in seen:
             continue
         seen.add(code)
-        brute = sum(1 for g in group if g * m == m * g)
-        assert class_size(p, code) * brute == len(group), (code, brute)
+        brute = centralizer_order(group, m)
+        assert sizes[code] * brute == len(group), (code, brute)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_orbit_partition(p):
     n = p ** 3 - p
-    total = 0
-    counted = set()
-    for m in enumerate_sl2(p):
-        code = class_code(m)
-        if code in counted:
-            continue
-        counted.add(code)
-        assert n % class_size(p, code) == 0
-        total += class_size(p, code)
-    assert total == n
+    sizes = code_sizes(p)
+    assert all(n % size == 0 for size in sizes[sizes > 0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -297,29 +299,20 @@ def test_geometric_class_validation():
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_w2_splits_into_two_unipotent_labels(p):
-    codes = {class_code(m) for m in geometric_members(p, W2)}
+    codes = {code_of(m) for m in geometric_members(p, W2)}
     assert codes == {2, 3}
 
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_w4_members_form_one_split_label(p):
     lam = 2
-    codes = {class_code(m) for m in geometric_members(p, w4(lam))}
+    codes = {code_of(m) for m in geometric_members(p, w4(lam))}
     t = (lam + inverse_mod(lam, p)) % p
     assert codes == {6 + t}
 
 
 # ---------------------------------------------------------------------------
-# vectorized tables agree with the scalar path
-
-
-@pytest.mark.parametrize("p", [5, 7])
-def test_group_table_label_codes_agree_with_scalar_labels(p):
-    table = group_table(p)
-    codes = label_codes(p, table.elements)
-    for row in range(table.n):
-        m = SL2Element(*table.elements[row].tolist(), p)
-        assert int(codes[row]) == class_code(m)
+# the group table
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
@@ -330,5 +323,5 @@ def test_group_table_rows_follow_enumeration_order(p):
 
 def test_nonsplit_labels_exist():
     # trace 1 and 4 at p=5 have irreducible characteristic polynomial
-    codes = {class_code(m) for m in enumerate_sl2(5)}
-    assert 6 + 5 + 1 in codes and 6 + 5 + 4 in codes
+    sizes = code_sizes(5)
+    assert sizes[6 + 5 + 1] and sizes[6 + 5 + 4]
