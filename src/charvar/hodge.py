@@ -7,16 +7,23 @@ H^k_c carries weights <= k, forcing h^{k,p,p}_c = 0 whenever 2p > k; the
 bound is applied by default and exposed as a switch because without it the
 solution set is strictly larger.
 
-The solver walks columns k = 0..2d in order, choosing a composition of
-b_c^k over the admissible rows, and prunes on running alternating row sums
-against what the remaining columns could still contribute.  A deliberately
-dumb product-filter oracle (bounded cells, no pruning) backs it in tests.
+The solver is a meet-in-the-middle join.  Each column k's candidates are
+the compositions of b_c^k over its admissible rows.  The columns split at
+the point that minimises the larger of the two halves' candidate products;
+every tail sequence is keyed by its alternating row sums, and each head
+sequence, in product order, is joined with the tails keyed by e minus its
+own sums.  Memory is O(max half product) and the output comes in ascending
+lexicographic order of the table.  A deliberately dumb product-filter
+oracle (cells bounded by their column's Betti number, no pruning) backs it
+in tests.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Iterator, Sequence
 
 
@@ -72,11 +79,9 @@ def _pad_e(e_coeffs: Sequence[int], dimension: int) -> list[int]:
     return e + [0] * (dimension + 1 - len(e))
 
 
-def _admissible_rows(k: int, dimension: int, weight_bound: bool) -> list[int]:
-    rows = range(dimension + 1)
-    if weight_bound:
-        return [p for p in rows if 2 * p <= k]
-    return list(rows)
+def _admissible_row_count(k: int, dimension: int, weight_bound: bool) -> int:
+    """Rows column k may fill: always the first ones, p <= k/2 under the bound."""
+    return min(dimension, k // 2) + 1 if weight_bound else dimension + 1
 
 
 def _compositions(total: int, cells: int) -> Iterator[tuple[int, ...]]:
@@ -97,61 +102,36 @@ def enumerate_tables(e_coeffs: Sequence[int], betti: BettiVector,
                      weight_bound: bool = True) -> list[HodgeTable]:
     """All tables with column sums betti, alternating row sums e_coeffs.
 
-    Complete and duplicate-free; deterministic order (columns filled in
-    ascending k, compositions in ascending lexicographic order).
+    Complete and duplicate-free; in ascending lexicographic order of h,
+    which is the order of filling columns k = 0..2d depth first with
+    compositions in ascending lexicographic order.
     """
     d = betti.dimension
     e = _pad_e(e_coeffs, d)
     n_cols = 2 * d + 1
-    rows_for = [_admissible_rows(k, d, weight_bound) for k in range(n_cols)]
+    candidates = []
+    for k in range(n_cols):
+        n = _admissible_row_count(k, d, weight_bound)
+        candidates.append([comp + (0,) * (d + 1 - n)
+                           for comp in _compositions(betti[k], n)])
+    sizes = [len(c) for c in candidates]
+    m = min(range(n_cols + 1),
+            key=lambda m: max(prod(sizes[:m]), prod(sizes[m:])))
+    # each candidate with its column's sign (-1)^k, walked in lockstep with it
+    signed = [[tuple((-1) ** k * v for v in col) for col in column]
+              for k, column in enumerate(candidates)]
+    zero = (0,) * (d + 1)
 
-    # what columns > k can still add to row p, split by column parity
-    suffix_hi = [[0] * (d + 1) for _ in range(n_cols + 1)]
-    suffix_lo = [[0] * (d + 1) for _ in range(n_cols + 1)]
-    for k in range(n_cols - 1, -1, -1):
-        for p in range(d + 1):
-            hi = suffix_hi[k + 1][p]
-            lo = suffix_lo[k + 1][p]
-            if p in rows_for[k]:
-                if k % 2 == 0:
-                    hi += betti[k]
-                else:
-                    lo -= betti[k]
-            suffix_hi[k][p] = hi
-            suffix_lo[k][p] = lo
+    def row_sums(vecs: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+        return tuple(map(sum, zip(zero, *vecs)))
 
-    results: list[HodgeTable] = []
-    columns: list[tuple[int, ...]] = []
-    running = [0] * (d + 1)
-
-    def feasible(k: int) -> bool:
-        for p in range(d + 1):
-            need = e[p] - running[p]
-            if not (suffix_lo[k][p] <= need <= suffix_hi[k][p]):
-                return False
-        return True
-
-    def walk(k: int) -> None:
-        if k == n_cols:
-            if all(running[p] == e[p] for p in range(d + 1)):
-                results.append(HodgeTable(tuple(columns), d))
-            return
-        sign = (-1) ** k
-        rows = rows_for[k]
-        for comp in _compositions(betti[k], len(rows)):
-            col = [0] * (d + 1)
-            for p, v in zip(rows, comp):
-                col[p] = v
-                running[p] += sign * v
-            columns.append(tuple(col))
-            if feasible(k + 1):
-                walk(k + 1)
-            columns.pop()
-            for p, v in zip(rows, comp):
-                running[p] -= sign * v
-        return
-
-    walk(0)
+    tails = defaultdict(list)
+    for tail, vecs in zip(product(*candidates[m:]), product(*signed[m:])):
+        tails[row_sums(vecs)].append(tail)
+    results = []
+    for head, vecs in zip(product(*candidates[:m]), product(*signed[:m])):
+        need = tuple(x - s for x, s in zip(e, row_sums(vecs)))
+        results.extend(HodgeTable(head + tail, d) for tail in tails.get(need, ()))
     return results
 
 
@@ -159,18 +139,18 @@ def brute_force_tables(e_coeffs: Sequence[int], betti: BettiVector,
                        weight_bound: bool = True) -> list[HodgeTable]:
     """Oracle: filter the full product of per-column cell assignments.
 
-    Cells range over 0..max Betti number; columns are filtered by sum and
-    weight bound, then the cross product is filtered by the row alternating
-    sums.  No pruning, no cleverness.
+    Cells of column k range over 0..b[k], the most a nonnegative column
+    summing to b[k] can hold; columns are filtered by sum and weight bound,
+    then the cross product is filtered by the row alternating sums.  No
+    pruning, no cleverness.
     """
     d = betti.dimension
     e = _pad_e(e_coeffs, d)
     n_cols = 2 * d + 1
-    bound = max(betti.values)
     per_column: list[list[tuple[int, ...]]] = []
     for k in range(n_cols):
         allowed = []
-        for cells in product(range(bound + 1), repeat=d + 1):
+        for cells in product(range(betti[k] + 1), repeat=d + 1):
             if sum(cells) != betti[k]:
                 continue
             if weight_bound and any(v and 2 * p > k for p, v in enumerate(cells)):

@@ -319,6 +319,20 @@ def test_cmd_hodge_small_instance(capsys):
     assert payload["tables"] == [[[1]]]
 
 
+# sha256 of `charvar hodge --dump-tables --format json`, trailing newline
+# stripped as CI hashes it; the dump lists the tables in enumeration order
+@pytest.mark.parametrize("flags, sha", [
+    ((), "d2284664cf355f21c031a3d7a3e3a8ecf7012110a95edcedaeae2eb389123af0"),
+    (("--no-weight-bound",),
+     "798591f7cb8e7fbe803ef53aa000d6ee973271ce24c86c115976b868828fd263"),
+], ids=["weight-bound", "no-weight-bound"])
+def test_cmd_hodge_dump_tables_is_pinned(capsys, flags, sha):
+    code, out, _ = run_cli(capsys, "hodge", "--dump-tables", "--format", "json",
+                           *flags)
+    assert code == 0
+    assert hashlib.sha256(out.rstrip("\n").encode()).hexdigest() == sha
+
+
 def test_cmd_probe(capsys):
     code, out, _ = run_cli(capsys, "probe", "--primes", "5")
     assert code == 0

@@ -102,16 +102,20 @@ def test_flagship_solution_structure():
 
 
 def test_flagship_matches_brute_oracle():
+    # same list, not only the same set: both come in ascending order of h
     e, betti = paper_inputs()
-    assert set(enumerate_tables(e, betti)) == set(brute_force_tables(e, betti))
+    tables = enumerate_tables(e, betti)
+    assert tables == sorted(tables, key=lambda t: t.h)
+    assert tables == brute_force_tables(e, betti)
 
 
 def test_weight_bound_switch_enlarges_solution_set():
     e, betti = paper_inputs()
     with_bound = enumerate_tables(e, betti)
     without = enumerate_tables(e, betti, weight_bound=False)
-    assert len(without) > len(with_bound) == 18
+    assert len(without) == 1675 and len(with_bound) == 18
     assert set(with_bound) <= set(without)
+    assert without == sorted(without, key=lambda t: t.h)
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +134,15 @@ def test_empty_is_a_valid_outcome():
     assert enumerate_tables([0, 5], betti) == []
 
 
-def _random_instance(rng):
-    """Build a random valid table, then return its (e, betti) data."""
+def _random_instance(rng, top=2, weight_bound=True):
+    """Build a random valid table with cells in 0..top, then return its
+    (e, betti) data."""
     d = rng.randint(1, 2)
     h = [[0] * (d + 1) for _ in range(2 * d + 1)]
     for k in range(2 * d + 1):
         for p in range(d + 1):
-            if 2 * p <= k:
-                h[k][p] = rng.randint(0, 2)
+            if 2 * p <= k or not weight_bound:
+                h[k][p] = rng.randint(0, top)
     betti = BettiVector(tuple(sum(row) for row in h), d)
     e = [sum((-1) ** k * h[k][p] for k in range(2 * d + 1))
          for p in range(d + 1)]
@@ -152,6 +157,49 @@ def test_random_instances_match_brute_oracle():
         brute = set(brute_force_tables(e, betti))
         assert fast == brute, (trial, e, betti)
         assert fast   # instances are built from a witness table
+
+
+def test_random_unbounded_instances_match_brute_oracle():
+    # cells up to 1: at 2 the unbounded brute product reaches ~230k combinations
+    rng = random.Random(2468)
+    for trial in range(20):
+        e, betti = _random_instance(rng, top=1, weight_bound=False)
+        fast = enumerate_tables(e, betti, weight_bound=False)
+        assert fast == brute_force_tables(e, betti, weight_bound=False), \
+            (trial, e, betti)
+        assert fast   # instances are built from a witness table
+
+
+# ---------------------------------------------------------------------------
+# curious Poincare duality, h[k][i] = h[k - 2i + d][d - i], as a filter; it
+# is a hypothesis for this space (arXiv:0810.2076), so only the tests apply it
+
+
+def curious_pd(table, shift):
+    """The filter with `shift` in place of d; a cell whose partner falls
+    outside the table must be 0."""
+    d = table.dimension
+    for k in range(2 * d + 1):
+        for i in range(d + 1):
+            k2, i2 = k - 2 * i + shift, shift - i
+            inside = 0 <= k2 <= 2 * d and 0 <= i2 <= d
+            if table[k, i] != (table[k2, i2] if inside else 0):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("weight_bound, n_tables", [(True, 18), (False, 1675)])
+def test_curious_pd_leaves_one_flagship_table(weight_bound, n_tables):
+    e, betti = paper_inputs()
+    tables = enumerate_tables(e, betti, weight_bound=weight_bound)
+    assert len(tables) == n_tables
+    survivors = [t for t in tables if curious_pd(t, 4)]
+    assert len(survivors) == 1
+    zero = (0,) * 5
+    assert survivors[0].h == (zero, zero, zero, zero, (1, 2, 7, 0, 0),
+                              (0, 0, 2, 0, 0), (0, 0, 1, 2, 0), zero,
+                              (0, 0, 0, 0, 1))
+    assert [t for t in tables if curious_pd(t, 3)] == []     # d - 1 for d
 
 
 def test_forced_entries_edge_cases():
