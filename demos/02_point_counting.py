@@ -36,8 +36,8 @@ dist = commutator_fiber_distribution(p)
 print(f"\nfibers at p={p}: Id {dist.central[0]}, -Id {dist.central[1]}")
 for t in range(p):
     print(f"  trace {t:<3} fiber={dist.fibers[t]:<6} size={dist.sizes[t]}")
-print(f"total pairs = {sum(dist.central) + dist.fibers @ dist.sizes} "
-      f"= {len(group)}^2")
+pairs = sum(dist.central) + sum(f * s for f, s in zip(dist.fibers, dist.sizes))
+print(f"total pairs = {pairs} = {len(group)}^2")
 
 # Fast path vs oracle on a fiber and on a barred set.
 target = SL2Element.diagonal(2, p)

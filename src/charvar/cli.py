@@ -147,7 +147,7 @@ class TargetPlan:
         if isinstance(spec, Skip):
             return spec
         if isinstance(spec, GeometricClass):
-            return int(trace_histogram(p, spec, SL2Element.identity(p)).sum())
+            return sum(trace_histogram(p, spec, SL2Element.identity(p)))
         return fast_count(p, spec)
 
 
@@ -339,9 +339,9 @@ def _evaluate_target(plan: TargetPlan, config: RunConfig) -> dict:
             records.append({"p": p, "count": None, "method": None, "ms": None,
                             "skipped": result.reason})
         else:
-            records.append({"p": p, "count": int(result), "method": "fast",
+            records.append({"p": p, "count": result, "method": "fast",
                             "ms": ms if config.timings else None})
-            usable.append((p, int(result)))
+            usable.append((p, result))
 
     entry = {
         "id": plan.id,
@@ -367,8 +367,8 @@ def _evaluate_target(plan: TargetPlan, config: RunConfig) -> dict:
     def extend_with(p: int) -> None:
         result = plan.count(p)
         if not isinstance(result, Skip):
-            extended.append((p, int(result)))
-            extension_records.append({"p": p, "count": int(result)})
+            extended.append((p, result))
+            extension_records.append({"p": p, "count": result})
 
     # every fit gets at least one redundant point
     while len(extended) < degree + 2 and remaining:

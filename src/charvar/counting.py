@@ -9,11 +9,11 @@ test-suite contract:
   trace's two unipotent square classes share one fiber), so the
   distribution holds the two central fibers and one fiber per trace, with
   the number of non-central elements per trace in closed form as well
-  (see commutator_fiber_distribution).  It never builds the p^3-row group
-  table.  Barred and full sets share one kernel, _fiber_sum(p, S, T) =
-  sum_{C in S} fiber(T C): the O(p) histogram of tr(T C) over C in S
-  (trace_histogram) against the fiber per trace, moved to the central
-  fiber where T C = ±Id:
+  (see commutator_fiber_distribution).  It builds no group table and sums
+  Python ints, exact at every p.  Barred and full sets share one kernel,
+  _fiber_sum(p, S, T) = sum_{C in S} fiber(T C): the closed-form histogram
+  of tr(T C) over C in S (trace_histogram) against the fiber per trace,
+  moved to the central fiber where T C = ±Id:
   - barred sets: C = [A,B]^{-1} T forces [A,B] = T C^{-1}, and every
     geometric class is closed under inversion (trace and ±Id are
     preserved), so the count is _fiber_sum(p, S, T);
@@ -225,22 +225,20 @@ TargetSpec = CommutatorFiber | ZbarCase | ZFull | XStratum | DiagonalCommutatorF
 class ClassDistribution:
     """The commutator fibers of Id and -Id (central), and per trace t the
     fiber of a non-central element of trace t (fibers[t]) and the number of
-    such elements (sizes[t]), as int64 arrays."""
+    such elements (sizes[t]), as tuples of Python ints."""
     p: int
     central: tuple[int, int]
-    fibers: np.ndarray
-    sizes: np.ndarray
+    fibers: tuple[int, ...]
+    sizes: tuple[int, ...]
 
     def check_consistency(self) -> None:
         """Raise unless the sizes with ±Id count |G| elements and the
         fibers |G|^2 pairs, summed in Python ints, which cannot wrap."""
         n = self.p ** 3 - self.p
-        sizes = self.sizes.tolist()
-        total = sum(self.central) + sum(f * s for f, s in
-                                        zip(self.fibers.tolist(), sizes))
-        if sum(sizes) + 2 != n or total != n * n:
+        total = sum(self.central) + sum(f * s for f, s in zip(self.fibers, self.sizes))
+        if sum(self.sizes) + 2 != n or total != n * n:
             raise ArithmeticError(
-                f"{sum(sizes) + 2} elements and {total} pairs counted at "
+                f"{sum(self.sizes) + 2} elements and {total} pairs counted at "
                 f"p={self.p}, expected |G| = {n} and |G|^2 = {n * n}")
 
 
@@ -282,13 +280,12 @@ def commutator_fiber_distribution(p: int) -> ClassDistribution:
         return _dist_memo[p]
     check_prime(p)
     n = p ** 3 - p
-    sizes = [p * p - 1 if t in (2, p - 2) else
-             p * p + p if is_square_mod(t * t - 4, p) else p * p - p
-             for t in range(p)]
-    fibers = [_closed_form_fiber(p, t) for t in range(p)]
+    sizes = tuple(p * p - 1 if t in (2, p - 2) else
+                  p * p + p if is_square_mod(t * t - 4, p) else p * p - p
+                  for t in range(p))
+    fibers = tuple(_closed_form_fiber(p, t) for t in range(p))
     central = (n * (p + 4), n)      # the fibers of Id and -Id
-    dist = ClassDistribution(p, central, np.array(fibers, dtype=np.int64),
-                             np.array(sizes, dtype=np.int64))
+    dist = ClassDistribution(p, central, fibers, sizes)
     dist.check_consistency()
     _dist_memo[p] = dist
     return dist
@@ -304,7 +301,7 @@ def count_commutator_fiber(p: int, target: SL2Element) -> int:
     dist = commutator_fiber_distribution(p)
     if target.is_identity() or target.is_minus_identity():
         return dist.central[target.is_minus_identity()]
-    return int(dist.fibers[target.trace()])
+    return dist.fibers[target.trace()]
 
 
 def membership_mask(table: GroupTable, M: np.ndarray,
@@ -325,16 +322,16 @@ def membership_mask(table: GroupTable, M: np.ndarray,
     return t == tm
 
 
-def trace_histogram(p: int, spec: GeometricClass, T: SL2Element) -> np.ndarray:
+def trace_histogram(p: int, spec: GeometricClass, T: SL2Element) -> list[int]:
     """h[s] = #{C in spec: tr(T C) = s} for spec W2, W3 or W4(lam) and an
-    upper-triangular T = [[x, y], [0, 1/x]], in O(p).
+    upper-triangular T = [[x, y], [0, 1/x]], in closed form.
 
-    C = [[a, b], [c, t-a]] has bc = a(t-a) - 1 and tr(T C) = (x - 1/x) a
-    + t/x + y c.  When y = 0, or x != ±1 so that T is conjugate to
-    diag(x, 1/x) (h is invariant under conjugating T), it is linear in a:
-    p - 1 pairs (b, c) per a, 2p - 1 at a root of a(t-a) = 1.  Otherwise
-    it is x t + y c: p pairs (a, b) per c != 0, and p per root at c = 0.
-    W2 and W3 drop C = ±Id, at trace ±tr T.
+    C = [[a, b], [c, t-a]] has bc = a(t-a) - 1: p - 1 pairs (b, c) per a,
+    2p - 1 at a root of a(t-a) = 1, an eigenvalue of spec's representative.
+    tr(T C) = (x - 1/x) a + t/x + y c.  For x != ±1, a -> tr(T C) is a
+    bijection (T is conjugate to diag(x, 1/x), and h is invariant under
+    that); at T = ±Id every a lands on t/x.  Otherwise it is x t + y c: p
+    pairs (a, b) per c != 0, p per root at c = 0.  W2, W3 drop C = ±Id.
     """
     check_prime(p)
     if spec.kind not in ("W2", "W3", "W4"):
@@ -342,15 +339,18 @@ def trace_histogram(p: int, spec: GeometricClass, T: SL2Element) -> np.ndarray:
     x, y, z, _ = T.entries()
     if z or T.p != p:
         raise ValueError(f"{T} is not an upper-triangular matrix mod {p}")
-    t, r = spec.trace_mod(p), np.arange(p, dtype=np.int64)
-    roots = (r * (t - r) - 1) % p == 0
-    h = np.zeros(p, dtype=np.int64)
-    if y == 0 or x not in (1, p - 1):
-        xi = inverse_mod(x, p)
-        np.add.at(h, ((x - xi) * r + t * xi) % p, np.where(roots, 2 * p - 1, p - 1))
+    R = spec.representative(p)
+    t, roots, xi = R.trace(), {R.m11, R.m22}, inverse_mod(x, p)
+    if x == xi and y == 0:
+        h = [0] * p
+        h[t * xi % p] = p * (p - 1 + len(roots))
+    elif x != xi:
+        h = [p - 1] * p
+        for a in roots:
+            h[((x - xi) * a + t * xi) % p] += p
     else:
-        h[(x * t + y * r[1:]) % p] = p
-        h[x * t % p] += p * int(roots.sum())
+        h = [p] * p
+        h[x * t % p] = p * len(roots)
     if spec.kind != "W4":
         h[(1 if spec.kind == "W2" else -1) * T.trace() % p] -= 1
     return h
@@ -361,12 +361,12 @@ def _fiber_sum(p: int, spec: GeometricClass, T: SL2Element) -> int:
     if spec.kind in ("W0", "W1"):
         return count_commutator_fiber(p, T * spec.representative(p))
     dist = commutator_fiber_distribution(p)
-    total = int(trace_histogram(p, spec, T) @ dist.fibers)
+    total = sum(h * f for h, f in zip(trace_histogram(p, spec, T), dist.fibers))
     # C = eps T^{-1}, in spec when T is not central, has T C = eps Id
     central = T.is_identity() or T.is_minus_identity()
     for fiber, eps in zip(dist.central, (1, -1)):
         if eps * T.trace() % p == spec.trace_mod(p) and not central:
-            total += fiber - int(dist.fibers[2 * eps % p])
+            total += fiber - dist.fibers[2 * eps % p]
     return total
 
 
@@ -401,11 +401,11 @@ def count_x_stratum(p: int, name: str) -> int:
     dist = commutator_fiber_distribution(p)
     if union in (W0, W1):
         return dist.central[union == W1]
-    weighted = dist.fibers * dist.sizes
+    weighted = [f * s for f, s in zip(dist.fibers, dist.sizes)]
     t = union.trace_mod(p)
     if t is None:
-        return int(weighted.sum() - weighted[2] - weighted[p - 2])
-    return int(weighted[t])
+        return sum(weighted) - weighted[2] - weighted[p - 2]
+    return weighted[t]
 
 
 def _diagonal_commutator_targets(p: int, lam: int, mu: int, t2: int,

@@ -4,11 +4,13 @@ from types import MappingProxyType
 
 import pytest
 
+import charvar.cli as cli
 import charvar.strata as strata
 from charvar.cli import (RunConfig, ConfigError, Skip, fill, lambda_fills, main,
                          parse_class, parse_target, run_verification,
                          verification_plan)
-from charvar.counting import ZFull, ZbarCase, brute_force_count, fast_count
+from charvar.counting import (CommutatorFiber, ZFull, ZbarCase,
+                              brute_force_count, fast_count)
 from charvar.sl2 import GeometricClass, SL2Element
 from charvar.strata import CASE_IDS, building_blocks
 
@@ -393,6 +395,23 @@ def test_cmd_verify_all_scope_deterministic_and_green(capsys):
     assert report["summary"]["identity_failures"] == []
     scopes = {t["id"] for t in report["targets"]}
     assert {"X0", "Zbar22", "Z23"} <= scopes
+
+
+def test_an_oracle_disagreement_inside_verify_fails_the_run(monkeypatch):
+    # the oracle is off by one on Xbar3 (commfiber:j-) at its oracle prime
+    # only, so the fit and the quasi-polynomial verdict before it are as
+    # usual; the disagreement must overturn the verdict and fail the run
+    brute, xbar3 = brute_force_count, CommutatorFiber(SL2Element.jminus(7))
+    monkeypatch.setattr(cli, "brute_force_count", lambda p, spec:
+                        brute(p, spec) + (1 if (p, spec) == (7, xbar3) else 0))
+    report = run_verification("blocks", RunConfig())
+    row = next(t for t in report["targets"] if t["id"] == "Xbar3")
+    assert row["fit"]["status"] == "quasi-polynomial"
+    assert row["verdict"] == "inconsistent"
+    assert row["brute_confirmed"] is False
+    assert row["brute_value"] == {"p": 7, "brute": 197, "fast": 196}
+    assert "Xbar3" in report["summary"]["warnings"]
+    assert report["summary"]["exit_code"] == 1
 
 
 def test_cmd_verify_panel_overlapping_extension_primes(capsys):

@@ -7,9 +7,11 @@ reads fibers by trace off ±Id; that fold is checked against the oracle at
 every element up to the pair guard and, above it, against the vectorised
 class-function identity (vector_fiber) on every rational class of the
 tests' label_codes.  The closed-form sizes per trace are checked against
-the group table, and the O(p) trace-histogram kernel against the member
-sum it replaces: table rows masked by the oracle's class predicate,
-multiplied by T, each product's fiber read on its own (element_fibers).
+the group table, and the trace-histogram kernel against the member sum it
+replaces (table rows masked by the oracle's class predicate, multiplied by
+T, each product's fiber read on its own: element_fibers) and against the
+per-a histogram its closed form replaced (reference_trace_histogram).  The
+fast path runs in Python ints with numpy stubbed out.
 """
 
 import dataclasses
@@ -19,7 +21,9 @@ import numpy as np
 import pytest
 
 import charvar.counting as counting
-from charvar.cli import IDENTITY_ROWS, _side, lambda_fills, verification_plan
+import charvar.sl2 as sl2
+from charvar.cli import (IDENTITY_ROWS, _side, lambda_fills, parse_target,
+                         verification_plan)
 from charvar.counting import (CommutatorFiber, DiagonalCommutatorFiber,
                               ClassDistribution, OracleRangeError, XStratum,
                               ZFull, ZbarCase, brute_commutator_tally,
@@ -31,7 +35,7 @@ from charvar.counting import (CommutatorFiber, DiagonalCommutatorFiber,
                               trace_histogram)
 from charvar.sl2 import (GroupTable, SL2Element, W0, W1, W2, W3, W4ANY,
                          commutator, enumerate_sl2, group_table, inverse_mod,
-                         is_odd_prime, mat_inv, mat_mul, w4)
+                         is_odd_prime, is_square_mod, mat_inv, mat_mul, w4)
 from class_labels import label_codes
 
 
@@ -65,7 +69,7 @@ def element_fibers(p, M):
     dist = commutator_fiber_distribution(p)
     scalar = (M[..., 1] == 0) & (M[..., 2] == 0)
     fibers = np.where(scalar & (M[..., 0] == 1), dist.central[0],
-                      dist.fibers[(M[..., 0] + M[..., 3]) % p])
+                      np.asarray(dist.fibers)[(M[..., 0] + M[..., 3]) % p])
     return np.where(scalar & (M[..., 0] == p - 1), dist.central[1], fibers)
 
 
@@ -87,8 +91,9 @@ def non_central_sizes(p):
 def test_distribution_consistency(p):
     dist = commutator_fiber_distribution(p)
     n = p ** 3 - p
-    assert int(dist.sizes.sum()) + 2 == n
-    assert sum(dist.central) + int(dist.fibers @ dist.sizes) == n * n
+    assert sum(dist.sizes) + 2 == n
+    assert sum(dist.central) + sum(f * s for f, s in
+                                   zip(dist.fibers, dist.sizes)) == n * n
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
@@ -109,14 +114,14 @@ def test_closed_form_class_sizes_match_counted_sizes(p):
     M = table.elements
     central = membership_mask(table, M, W0) | membership_mask(table, M, W1)
     counted = np.bincount((M[~central, 0] + M[~central, 3]) % p, minlength=p)
-    assert commutator_fiber_distribution(p).sizes.tolist() == counted.tolist()
+    assert list(commutator_fiber_distribution(p).sizes) == counted.tolist()
     assert non_central_sizes(p).tolist() == counted.tolist()
 
 
 def test_check_consistency_refuses_an_off_by_one_fiber_or_size():
     dist = commutator_fiber_distribution(7)
     for field in ("fibers", "sizes"):
-        values = getattr(dist, field).copy()
+        values = list(getattr(dist, field))
         values[3] += 1
         with pytest.raises(ArithmeticError, match="expected"):
             dataclasses.replace(dist, **{field: values}).check_consistency()
@@ -127,19 +132,20 @@ def test_check_consistency_sums_exactly_above_int64():
     # fibers and sizes wraps; the check sums in Python ints
     p = 1451
     n = p ** 3 - p
-    fibers = np.array([counting._closed_form_fiber(p, t) for t in range(p)],
-                      dtype=np.int64)
-    dist = ClassDistribution(p, (n * (p + 4), n), fibers, non_central_sizes(p))
+    fibers = tuple(counting._closed_form_fiber(p, t) for t in range(p))
+    sizes = tuple(non_central_sizes(p).tolist())
+    dist = ClassDistribution(p, (n * (p + 4), n), fibers, sizes)
     dist.check_consistency()
-    assert sum(dist.central) + int(fibers @ dist.sizes) != n * n
+    wrapped = np.array(fibers, dtype=np.int64) @ np.array(sizes, dtype=np.int64)
+    assert sum(dist.central) + int(wrapped) != n * n
 
 
 def test_distribution_frozen_values_at_5():
     dist = commutator_fiber_distribution(5)
     assert dist.central == (1080, 120)                  # Id, -Id
     # trace 0 split, 1 and 4 nonsplit, 2 and 3 = -2 unipotent
-    assert dist.fibers.tolist() == [64, 216, 60, 200, 36]
-    assert dist.sizes.tolist() == [30, 20, 24, 24, 20]
+    assert dist.fibers == (64, 216, 60, 200, 36)
+    assert dist.sizes == (30, 20, 24, 24, 20)
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +362,47 @@ def test_trace_histogram_matches_the_table_mask(p):
         for T in kernel_targets(p):
             TC = mat_mul(p, np.array(T.entries(), dtype=np.int64), members)
             traces = (TC[:, 0] + TC[:, 3]) % p
-            assert trace_histogram(p, spec, T).tolist() == \
+            assert trace_histogram(p, spec, T) == \
                 np.bincount(traces, minlength=p).tolist(), (spec, T)
+
+
+def reference_trace_histogram(p, spec, T):
+    """The O(p) per-a histogram that trace_histogram's closed form replaced:
+    each a carries p - 1 pairs (b, c), 2p - 1 at a root of a(t-a) = 1, to
+    the trace (x - 1/x) a + t/x when y = 0 or x != ±1; otherwise p pairs
+    (a, b) per c != 0 land on x t + y c and p per root on x t."""
+    x, y, _, _ = T.entries()
+    t, r = spec.trace_mod(p), np.arange(p, dtype=np.int64)
+    roots = (r * (t - r) - 1) % p == 0
+    h = np.zeros(p, dtype=np.int64)
+    if y == 0 or x not in (1, p - 1):
+        xi = inverse_mod(x, p)
+        np.add.at(h, ((x - xi) * r + t * xi) % p, np.where(roots, 2 * p - 1, p - 1))
+    else:
+        h[(x * t + y * r[1:]) % p] = p
+        h[x * t % p] += p * int(roots.sum())
+    if spec.kind != "W4":
+        h[(1 if spec.kind == "W2" else -1) * T.trace() % p] -= 1
+    return h.tolist()
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 102, 2) if is_odd_prime(p)])
+def test_trace_histogram_matches_the_per_a_reference(p):
+    # W4 at the smallest square and the smallest nonsquare lambda where p
+    # has them (no square mod 5 avoids 0 and ±1)
+    lams = range(2, p - 1)
+    firsts = {is_square_mod(lam, p): lam for lam in reversed(lams)}
+    for spec in [W2, W3] + [w4(lam) for lam in sorted(firsts.values())]:
+        for T in kernel_targets(p):
+            assert trace_histogram(p, spec, T) == \
+                reference_trace_histogram(p, spec, T), (spec, T)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 31, 89, 101])
 def test_trace_histogram_at_the_identity_sums_to_the_class_size(p):
     for spec in [W2, W3] + [w4(lam) for lam in range(2, p - 1)]:
         h = trace_histogram(p, spec, SL2Element.identity(p))
-        assert h.sum() == spec.size(p), spec
+        assert sum(h) == spec.size(p), spec
 
 
 def test_trace_histogram_refusals():
@@ -395,6 +433,36 @@ def test_fast_path_builds_no_group_table():
         fast_count(p, spec)
     assert [t.count(p) for t in sizes] == [p * p - 1, p * p + p]
     assert group_table.cache_info().currsize == 0
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"the fast path used numpy.{name}")
+
+
+FAST_TARGETS = [
+    "commfiber:id", "commfiber:-id", "commfiber:j+", "commfiber:j-",
+    "commfiber:xi=3", "zbar22", "zbar23", "zbar24=2", "zbar34=2",
+    "zbar44=2,2", "zbar44=2,3", "zbar44=2,-2", "zfull:w0,w1", "zfull:w2,w3",
+    "zfull:w3,w4=2", "zfull:w4=2,w4=3", "zfull:w1,w4any", "zfull:w4any,w2",
+    "zfull:w4any,w4any", *(f"xstratum:X{k}" for k in range(5)),
+    "dcfiber=2,3,0", "dcfiber=2,3,5,1"]
+
+
+@pytest.mark.parametrize("p", [89, 101])
+def test_fast_path_runs_without_numpy_in_python_ints(p, monkeypatch):
+    monkeypatch.setattr(counting, "np", _NoNumpy())
+    monkeypatch.setattr(sl2, "np", _NoNumpy())
+    monkeypatch.setattr(counting, "_dist_memo", {})
+    counts = [fast_count(p, parse_target(text, p)) for text in FAST_TARGETS]
+    counts += [t.count(p) for t in verification_plan("blocks")
+               if t.id.endswith("-size")]
+    assert len(counts) == len(FAST_TARGETS) + 2
+    dist = counting._dist_memo[p]
+    assert type(dist.fibers) is type(dist.sizes) is tuple
+    values = [*counts, *dist.central, *dist.fibers, *dist.sizes]
+    assert all(type(v) is int for v in values), \
+        {type(v).__name__ for v in values}
 
 
 def test_fast_path_keeps_the_prime_checks():
