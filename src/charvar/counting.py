@@ -29,14 +29,15 @@ test-suite contract:
     members;
 * the brute-force oracle enumerates pairs (A,B) directly with no class
   theory at all, guarded to small primes.  It works on row indices of the
-  group table: a per-prime multiplication table (_cayley) turns every
-  product and inverse into one gather, and [A,B] = (AB)(BA)^{-1} is read
-  for a block of A rows against every B at once.  That pass runs once per
-  prime, into the histogram counts[r] = #{(A,B): [A,B] = row r}, and every
-  oracle count regroups the same enumeration by the value of [A,B]: a
-  lookup, a masked sum, or for full tuples one masked sum per C1.  The
-  table is refused above the pair guard, so at most the five odd primes
-  <= 13 ever hold one (about 27 MB in int32 if all are built).
+  group table: a per-prime multiplication table (_cayley), built from
+  outer products of the table's entry columns, turns every product and
+  inverse into one gather, and [A,B] = (AB)(BA)^{-1} is read for a block
+  of A rows against every B at once.  That pass runs once per prime, into
+  the histogram counts[r] = #{(A,B): [A,B] = row r}, and every oracle
+  count regroups the same enumeration by the value of [A,B]: a lookup, a
+  masked sum, or for full tuples one masked sum per C1.  The table is
+  refused above the pair guard, so at most the five odd primes <= 13 ever
+  hold one (about 27 MB in int32 if all are built).
 
 The test suite keeps a third, vectorised route to the fibers as an oracle
 for the closed forms above the brute guard: the class-function identity
@@ -57,7 +58,7 @@ import numpy as np
 
 from .sl2 import (GeometricClass, GroupTable, SL2Element, W0, W1, W2, W3,
                   W4ANY, check_prime, group_table, inverse_mod, is_square_mod,
-                  mat_inv, mat_mul, w4)
+                  w4)
 
 BRUTE_MAX_PAIR_PRIME = 13    # CommFiber / diagonal-commutator targets
 BRUTE_MAX_TUPLE_PRIME = 7    # barred sets and full tuple sets
@@ -480,38 +481,45 @@ _CELLS = 1 << 18   # gathered cells per block: a few MB of temporaries
 _cayley_memo: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
 
 
-def _encode(M: np.ndarray, p: int) -> np.ndarray:
-    return ((M[..., 0] * p + M[..., 1]) * p + M[..., 2]) * p + M[..., 3]
-
-
 def _cayley(p: int) -> tuple[np.ndarray, np.ndarray]:
     """(mul, inv) on the rows of group_table(p): mul[i, j] is the row of
     E_i E_j and inv[i] the row of E_i^{-1}, both int32 and read-only.
 
-    Built from sl2.mat_mul in blocks of rows; a dense p^4 lookup from
-    encoded entries turns each product back into a row.  Memoised per
-    prime and refused above BRUTE_MAX_PAIR_PRIME, which bounds the memo.
+    The table's four entry columns are taken once as contiguous arrays;
+    for a block of rows i, each entry of E_i E_j is a sum of two outer
+    products of them, and the entries are encoded as one base-p number
+    that a dense p^4 lookup turns back into a row.  Memoised per prime and
+    refused above BRUTE_MAX_PAIR_PRIME, which bounds the memo.
     """
     _guard(p, BRUTE_MAX_PAIR_PRIME, "multiplication tables")
     if p in _cayley_memo:
         return _cayley_memo[p][:2]
     table = group_table(p)
     n = table.n
+    # int32 is exact: the guard keeps every code below 13^4
+    m11, m12, m21, m22 = np.ascontiguousarray(table.elements.T, dtype=np.int32)
     row_of = np.full(p ** 4, -1, dtype=np.int32)
-    row_of[_encode(table.elements, p)] = np.arange(n, dtype=np.int32)
+    row_of[((m11 * p + m12) * p + m21) * p + m22] = np.arange(n, dtype=np.int32)
 
-    def rows(M: np.ndarray) -> np.ndarray:
-        r = row_of[_encode(M, p)]
+    def rows(code: np.ndarray) -> np.ndarray:
+        r = row_of[code]
         if (r < 0).any():
             raise ArithmeticError(f"a product missed the group table at p={p}")
         return r
 
-    inv = rows(mat_inv(p, table.elements))
+    # the inverse is the adjugate [[m22, -m12], [-m21, m11]]
+    inv = rows(((m22 * p + (p - m12) % p) * p + (p - m21) % p) * p + m11)
     mul = np.empty((n, n), dtype=np.int32)
     step = max(1, _CELLS // n)
     for a in range(0, n, step):
-        mul[a:a + step] = rows(mat_mul(p, table.elements[a:a + step, None],
-                                       table.elements[None]))
+        x11, x12, x21, x22 = (m[a:a + step, None] for m in (m11, m12, m21, m22))
+        # c11 of E_i E_j, then c12, c21 and c22 appended as base-p digits
+        code = (x11 * m11 + x12 * m21) % p
+        for x, y, u, v in ((x11, x12, m12, m22), (x21, x22, m11, m21),
+                           (x21, x22, m12, m22)):
+            code *= p
+            code += (x * u + y * v) % p
+        mul[a:a + step] = rows(code)
     mul.flags.writeable = inv.flags.writeable = False
     _cayley_memo[p] = mul, inv, None
     return mul, inv

@@ -241,7 +241,8 @@ def w4(lam: int) -> GeometricClass:
 
 
 # ---------------------------------------------------------------------------
-# vectorized arithmetic on (..., 4) int64 arrays of entries mod p
+# the group table: every element of SL(2,F_p)
+
 
 def _inverses(p: int) -> np.ndarray:
     """x^{-1} mod p at index x != 0 (index 0 holds 0)."""
@@ -250,39 +251,35 @@ def _inverses(p: int) -> np.ndarray:
     return inv
 
 
-def mat_mul(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A B mod p, broadcast over the leading axes."""
-    a, b, c, d = A[..., 0], A[..., 1], A[..., 2], A[..., 3]
-    e, f, g, h = B[..., 0], B[..., 1], B[..., 2], B[..., 3]
-    return np.stack([(a * e + b * g) % p, (a * f + b * h) % p,
-                     (c * e + d * g) % p, (c * f + d * h) % p], axis=-1)
-
-
-def mat_inv(p: int, A: np.ndarray) -> np.ndarray:
-    """A^{-1} mod p for determinant-one A, broadcast over the leading axes."""
-    return np.stack([A[..., 3], (-A[..., 1]) % p,
-                     (-A[..., 2]) % p, A[..., 0]], axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# the group table: every element of SL(2,F_p)
-
-
 def _sl2_rows(p: int) -> np.ndarray:
     """SL(2,F_p) as a (p^3 - p, 4) int64 array in lexicographic row order:
     the m11 = 0 block, where m21 = -1/m12 and m22 is free, then
-    m11 = 1..p-1 with (m11, m12, m21) row-major and m22 solved."""
+    m11 = 1..p-1 with (m11, m12, m21) row-major and m22 solved.
+
+    Each entry column is written in place through a reshaped view of the
+    one output array, so the build allocates nothing of the table's size
+    besides the table itself."""
     r = np.arange(p, dtype=np.int64)
     inv = _inverses(p)
-    b, d = np.meshgrid(r[1:], r, indexing="ij")
-    zero = np.stack([np.zeros_like(b), b, (-inv[b]) % p, d], axis=-1)
-    a, b, c = np.meshgrid(r[1:], r, r, indexing="ij")
-    rest = np.stack([a, b, c, (1 + b * c) % p * inv[a] % p], axis=-1)
-    return np.concatenate([zero.reshape(-1, 4), rest.reshape(-1, 4)])
+    out = np.empty((p ** 3 - p, 4), dtype=np.int64)
+    zero = out[:p * p - p].reshape(p - 1, p, 4)
+    zero[..., 0] = 0
+    zero[..., 1] = r[1:, None]
+    zero[..., 2] = (p - inv[1:])[:, None]
+    zero[..., 3] = r
+    rest = out[p * p - p:].reshape(p - 1, p, p, 4)
+    rest[..., 0] = r[1:, None, None]
+    rest[..., 1] = r[:, None]
+    rest[..., 2] = r
+    m22 = rest[..., 3]
+    np.multiply((1 + np.multiply.outer(r, r)) % p, inv[1:, None, None], out=m22)
+    np.remainder(m22, p, out=m22)
+    return out
 
 
 class GroupTable:
-    """SL(2,F_p) as a (p^3 - p, 4) numpy array of entries.
+    """SL(2,F_p) as a (p^3 - p, 4) C-contiguous int64 array of entries,
+    built in place by _sl2_rows.
 
     Rows follow enumerate_sl2 order.  The fast counting path never builds
     one; it serves the brute-force oracle and the tests.

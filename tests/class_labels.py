@@ -1,4 +1,5 @@
-"""The tests' rational-class classifier.
+"""The tests' rational-class classifier, and the vectorised matrix
+product and inverse that their reference routes use (mat_mul, mat_inv).
 
 The library never names rational classes: off ±Id it reads commutator
 fibers by trace, because a trace's two unipotent square classes share one
@@ -38,3 +39,17 @@ def label_codes(p: int, M: np.ndarray) -> np.ndarray:
     codes = np.where(plus & off_diag_zero & (m11 == 1), 0, codes)
     codes = np.where(minus & off_diag_zero & (m11 == p - 1), 1, codes)
     return codes
+
+
+def mat_mul(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A B mod p, broadcast over the leading axes of (..., 4) arrays."""
+    a, b, c, d = A[..., 0], A[..., 1], A[..., 2], A[..., 3]
+    e, f, g, h = B[..., 0], B[..., 1], B[..., 2], B[..., 3]
+    return np.stack([(a * e + b * g) % p, (a * f + b * h) % p,
+                     (c * e + d * g) % p, (c * f + d * h) % p], axis=-1)
+
+
+def mat_inv(p: int, A: np.ndarray) -> np.ndarray:
+    """A^{-1} mod p for determinant-one A, broadcast over the leading axes."""
+    return np.stack([A[..., 3], (-A[..., 1]) % p,
+                     (-A[..., 2]) % p, A[..., 0]], axis=-1)

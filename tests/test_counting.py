@@ -15,7 +15,9 @@ fast path runs in Python ints with numpy stubbed out.
 """
 
 import dataclasses
+import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,8 +37,8 @@ from charvar.counting import (CommutatorFiber, DiagonalCommutatorFiber,
                               trace_histogram)
 from charvar.sl2 import (GroupTable, SL2Element, W0, W1, W2, W3, W4ANY,
                          commutator, enumerate_sl2, group_table, inverse_mod,
-                         is_odd_prime, is_square_mod, mat_inv, mat_mul, w4)
-from class_labels import label_codes
+                         is_odd_prime, is_square_mod, w4)
+from class_labels import label_codes, mat_inv, mat_mul
 
 
 def vector_fiber(table, g) -> int:
@@ -755,6 +757,50 @@ def test_cayley_table_matches_sl2_arithmetic_on_a_sample_at_13():
 def test_cayley_table_is_refused_above_the_pair_guard():
     with pytest.raises(OracleRangeError, match="oracle out of range"):
         counting._cayley(17)
+
+
+# sha256 of the (mul, inv) bytes, recorded from the mat_mul-and-stack
+# build that the column build replaced
+CAYLEY_SHA256 = {
+    7: ("ddeb9e4b0526673e042f3e69d9df309b8a69393635d8ca40cfb73ead6dc317e7",
+        "2290bda0cd9c6851b8270c3c1389eef496a05966931cc7361419d1eeb30d6a0b"),
+    11: ("6c2f6b19fc77b67bcd292f4687ef8b53ecc22ebb936d3f87dbad23f9113925d5",
+         "54e7fb57ced05055832c6819ae21c7eaaa47670e14405a9dccbd453130c16ea0"),
+    13: ("65a9f3410d3e84053e05b5b35a042fc9ff917663df22eaef789918cd4877281f",
+         "9e80c0e322dee2dd36bb744197efd9be71fede1fc5cfa789d7df7904ad5e0c4d"),
+}
+
+
+@pytest.mark.parametrize("p", sorted(CAYLEY_SHA256))
+def test_cayley_table_bytes_are_pinned(p):
+    mul, inv = counting._cayley(p)
+    assert mul.dtype == inv.dtype == np.int32
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                 for a in (mul, inv)) == CAYLEY_SHA256[p]
+
+
+def test_cayley_build_holds_few_transients(monkeypatch):
+    p = 13
+    group_table(p)      # the memo's input, not one of its transients
+    monkeypatch.setattr(counting, "_cayley_memo", {})
+    tracemalloc.start()
+    try:
+        counting._cayley(p)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - retained < 10_000_000, (peak, retained)
+
+
+def test_cayley_refuses_a_table_that_misses_a_product(monkeypatch):
+    p = 5
+    table = GroupTable(p)
+    table.elements[1] = table.elements[0]   # row 1's element is lost
+    monkeypatch.setattr(counting, "group_table", lambda q: table)
+    monkeypatch.setattr(counting, "_cayley_memo", {})
+    with pytest.raises(ArithmeticError,
+                       match="a product missed the group table at p=5"):
+        counting._cayley(p)
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -1,12 +1,15 @@
+import hashlib
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
 from charvar.counting import membership_mask
-from charvar.sl2 import (GeometricClass, SL2Element, commutator, enumerate_sl2,
-                         group_table, inverse_mod, w4, W0, W1, W2, W3, W4ANY)
+from charvar.sl2 import (GeometricClass, GroupTable, SL2Element, commutator,
+                         enumerate_sl2, group_table, inverse_mod, w4, W0, W1,
+                         W2, W3, W4ANY)
 from class_labels import label_codes
 
 
@@ -319,6 +322,31 @@ def test_w4_members_form_one_split_label(p):
 def test_group_table_rows_follow_enumeration_order(p):
     rows = [m.entries() for m in enumerate_sl2(p)]
     assert group_table(p).elements.tolist() == [list(r) for r in rows]
+
+
+# sha256 of GroupTable(p).elements.tobytes(), recorded from the
+# meshgrid-and-concatenate build that the in-place one replaced
+TABLE_SHA256 = {
+    89: "d673c367734650857a37992a920a055e98e86de410382d7075b49dcd89a39430",
+    101: "30aa52565815a0f5d625e93c502b8eaa6e8f5c661b8602fbb16039bc88876975",
+}
+
+
+@pytest.mark.parametrize("p", sorted(TABLE_SHA256))
+def test_group_table_bytes_are_pinned(p):
+    elements = GroupTable(p).elements      # not cached: p^3 rows
+    assert elements.dtype == np.int64 and elements.flags.c_contiguous
+    assert hashlib.sha256(elements.tobytes()).hexdigest() == TABLE_SHA256[p]
+
+
+def test_group_table_build_allocates_little_beyond_the_table():
+    tracemalloc.start()
+    try:
+        table = GroupTable(101)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * table.elements.nbytes, peak / table.elements.nbytes
 
 
 def test_nonsplit_labels_exist():
